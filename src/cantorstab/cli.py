@@ -44,6 +44,7 @@ from .conjugator import (
     ConjugatorBuildError,
     build_conjugator,
     conjugation_suite,
+    rist_samples,
     verify_certificate,
 )
 from .search import (
@@ -142,6 +143,11 @@ def write_certificate(path: str, cert) -> None:
     )
 
 
+def _germ_report(family, point, args):
+    return germ_classes(family, point, max_word_len=scaled(args.maxlen),
+                        max_depth=scaled(args.max_depth), budget=scaled(args.id_budget))
+
+
 def cmd_classify(args) -> int:
     family = load_family(args.family)
     point = parse_point(args.point, family.alphabet)
@@ -149,13 +155,7 @@ def cmd_classify(args) -> int:
     body = {"family": family.name, "point": str(point), "class": verdict.value}
     lines = [f"{point}: {verdict.value.upper()}"]
     if args.germs:
-        report = germ_classes(
-            family,
-            point,
-            max_word_len=scaled(args.maxlen),
-            max_depth=scaled(args.max_depth),
-            budget=scaled(args.id_budget),
-        )
+        report = _germ_report(family, point, args)
         body["germs"] = serialize.germs_to_obj(report)
         lines.append(
             f"germ classes (words <= {report.max_word_len}, depth <= {report.max_depth}): "
@@ -205,46 +205,13 @@ def _load_certificate(path: str, family):
     return serialize.certificate_from_obj(envelope["canonical"], family)
 
 
-def _rist_samples(family, cert, count: int):
-    """Rigid-stabiliser elements supported on cylinders disjoint from U_1."""
-    u1 = cert.stages[1].u
-    alphabet = family.alphabet
-    samples = []
-    stems = [
-        w
-        for w in (c.prefix for c in _cylinders(alphabet, u1.depth))
-        if w.letters != u1.prefix.letters
-    ]
-    while stems and len(samples) < count:
-        next_stems = []
-        for stem in stems:
-            try:
-                for g in rist_generators(family, Cylinder(stem)):
-                    samples.append(g)
-                    if len(samples) >= count:
-                        return samples
-            except EmptyRist:
-                pass
-            next_stems.extend(
-                Word(stem.letters + (a,), alphabet) for a in alphabet.letters()
-            )
-        stems = next_stems
-    return samples
-
-
-def _cylinders(alphabet, depth):
-    from .space import cylinders_at_depth
-
-    return cylinders_at_depth(alphabet, depth)
-
-
 def cmd_verify(args) -> int:
     family = load_family(args.family)
     cert = _load_certificate(args.cert, family)
     report = verify_certificate(cert, id_budget=scaled(args.id_budget))
     suite = None
     if args.samples > 0:
-        samples = _rist_samples(family, cert, args.samples)
+        samples = rist_samples(family, cert, args.samples)
         suite = conjugation_suite(cert, samples, id_budget=scaled(args.id_budget))
     body = serialize.verify_to_obj(report, suite)
     lines = [f"verify {args.cert}: {'PASS' if body['ok'] else 'FAIL'}"]
@@ -300,13 +267,7 @@ def cmd_rist(args) -> int:
 def cmd_germs(args) -> int:
     family = load_family(args.family)
     point = parse_point(args.point, family.alphabet)
-    report = germ_classes(
-        family,
-        point,
-        max_word_len=scaled(args.maxlen),
-        max_depth=scaled(args.max_depth),
-        budget=scaled(args.id_budget),
-    )
+    report = _germ_report(family, point, args)
     body = serialize.germs_to_obj(report)
     lines = [
         f"germ classes of {point} (words <= {report.max_word_len}): "
@@ -327,16 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, id_budget=True, max_states=False):
         p.add_argument("--family", required=True,
                        help="preset name (grigorchuk, odometer-full, prefix-v) or JSON family file")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if out:
-            p.add_argument("--out", help="write the report to this path (atomic)")
-        p.add_argument("--id-budget", type=int, default=DEFAULT_ID_BUDGET)
-        p.add_argument("--max-states", type=int, default=50000)
-        p.add_argument("--strict", action="store_true",
-                       help="exit 4 when a search result is budget-truncated")
+        p.add_argument("--out", help="write the report to this path (atomic)")
+        if id_budget:
+            p.add_argument("--id-budget", type=int, default=DEFAULT_ID_BUDGET)
+        if max_states:
+            p.add_argument("--max-states", type=int, default=50000)
 
     p = sub.add_parser("classify", help="regular/singular classification of a point")
     common(p)
@@ -347,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conjugate", help="build a conjugator certificate x -> y")
-    common(p)
+    common(p, max_states=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -363,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="BFS orbit of a cylinder at a depth")
-    common(p)
+    common(p, id_budget=False, max_states=True)
+    p.add_argument("--strict", action="store_true",
+                   help="exit 4 when the orbit search is budget-truncated")
     p.add_argument("--seed", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--maxlen", type=int, default=0,
@@ -371,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("rist", help="rigid-stabiliser elements of a cylinder")
-    common(p)
+    common(p, max_states=True)
     p.add_argument("--cylinder", required=True)
     p.add_argument("--maxlen", type=int, default=DEFAULT_SEARCH_MAXLEN)
     p.add_argument("--oracle", action="store_true",

@@ -30,7 +30,6 @@ from .space import (
     Word,
     contains_point,
     cylinder_relation,
-    cylinders_at_depth,
 )
 from .elements import GroupElement, TablePowerExceeded, Tri, UnresolvedWord
 from .engine import (
@@ -248,9 +247,10 @@ def verify_certificate(
 
     Per stage: the image condition V_i = g_i(U_i) on prefixes, schedule and
     membership conditions, nesting of both cylinder chains, rigid-stabiliser
-    membership of the stage correction, convergence of g_i(x) to y, and
-    agreement of g_i with g_{i-1} on every depth-d_i cylinder disjoint from
-    U_{i-1} (word images equal and the section quotient is the identity).
+    membership of the stage correction, the chain g_i = h_i g_{i-1}
+    (structural equality, else the identity oracle on the quotient),
+    convergence of g_i(x) to y, and agreement of g_i with g_{i-1} outside
+    U_{i-1}, that is g_{i-1}^-1 g_i in rist(U_{i-1}).
     """
     results = []
     x, y = cert.x, cert.y
@@ -298,30 +298,16 @@ def verify_certificate(
         # (rist) the stage correction is supported inside V_{i-1}
         out(CheckResult(i, "rist", _tri_status(in_rigid_stabiliser(stage.h, prev.v, id_budget)),
                         f"h_{i} against {prev.v}"))
-        # (agreement) g_i = g_{i-1} on cylinders disjoint from U_{i-1}
-        agreement = "PASS"
-        detail = ""
-        for c in cylinders_at_depth(cert.alphabet, stage.depth):
-            if cylinder_relation(c, prev.u) is not CylinderRelation.DISJOINT:
-                continue
-            try:
-                w_new = stage.g.act_word(c.prefix)
-                w_old = prev.g.act_word(c.prefix)
-                if w_new != w_old:
-                    agreement, detail = "FAIL", f"images differ on {c}"
-                    break
-                quot = stage.g.section(c.prefix).compose(
-                    prev.g.section(c.prefix).inverse()
-                )
-                verdict = quot.is_identity(id_budget)
-                if verdict is Tri.NO:
-                    agreement, detail = "FAIL", f"sections differ on {c}"
-                    break
-                if verdict is Tri.UNKNOWN and agreement == "PASS":
-                    agreement, detail = "UNKNOWN", f"section quotient undecided on {c}"
-            except UnresolvedWord as exc:
-                agreement, detail = "UNKNOWN", str(exc)
-        out(CheckResult(i, "agreement", agreement, detail))
+        # (chain) g_i = h_i g_{i-1}; (agreement) g_i = g_{i-1} outside U_{i-1}
+        try:
+            hg = stage.h.compose(prev.g)
+            chain = Tri.YES if hg == stage.g else stage.g.compose(hg.inverse()).is_identity(id_budget)
+            agreement = in_rigid_stabiliser(prev.g.inverse().compose(stage.g), prev.u, id_budget)
+        except TablePowerExceeded:
+            chain = agreement = Tri.UNKNOWN
+        out(CheckResult(i, "chain", _tri_status(chain), f"g_{i} against h_{i}*g_{i - 1}"))
+        out(CheckResult(i, "agreement", _tri_status(agreement),
+                        "" if agreement is Tri.YES else f"g_{i - 1}^-1*g_{i} against {prev.u}"))
     return VerificationReport(tuple(results))
 
 
@@ -342,41 +328,32 @@ class LimitValue:
     stage_used: int | None = None
 
 
-def eval_limit(cert: ConjugatorCertificate, z: BoundaryPoint) -> LimitValue:
-    """Value of the limit map at z: exact once z leaves some U_N."""
-    if z == cert.x:
+def _walk_limit(cert: ConjugatorCertificate, z: BoundaryPoint, inverse: bool) -> LimitValue:
+    """Shared walk of the limit map (``inverse`` False) and of its inverse,
+    which exchanges x with y and U with V and inverts the stage elements."""
+    source, target = (cert.y, cert.x) if inverse else (cert.x, cert.y)
+    if z == source:
         return LimitValue(
             exact=False,
-            prefix=cert.y.prefix(cert.last_depth),
-            limit_point=cert.y,
+            prefix=target.prefix(cert.last_depth),
+            limit_point=target,
         )
     for stage in cert.stages[1:]:
-        if not contains_point(stage.u, z):
-            return LimitValue(
-                exact=True, point=stage.g.act_point(z), stage_used=stage.index
-            )
+        if not contains_point(stage.v if inverse else stage.u, z):
+            g = stage.g.inverse() if inverse else stage.g
+            return LimitValue(exact=True, point=g.act_point(z), stage_used=stage.index)
     last = cert.stages[-1]
-    return LimitValue(exact=False, prefix=last.v.prefix, stage_used=last.index)
+    return LimitValue(exact=False, prefix=(last.u if inverse else last.v).prefix, stage_used=last.index)
+
+
+def eval_limit(cert: ConjugatorCertificate, z: BoundaryPoint) -> LimitValue:
+    """Value of the limit map at z: exact once z leaves some U_N."""
+    return _walk_limit(cert, z, inverse=False)
 
 
 def eval_limit_inverse(cert: ConjugatorCertificate, z: BoundaryPoint) -> LimitValue:
-    """Value of the inverse limit map at z; mirrors eval_limit with U and V
-    exchanged and the stage elements inverted."""
-    if z == cert.y:
-        return LimitValue(
-            exact=False,
-            prefix=cert.x.prefix(cert.last_depth),
-            limit_point=cert.x,
-        )
-    for stage in cert.stages[1:]:
-        if not contains_point(stage.v, z):
-            return LimitValue(
-                exact=True,
-                point=stage.g.inverse().act_point(z),
-                stage_used=stage.index,
-            )
-    last = cert.stages[-1]
-    return LimitValue(exact=False, prefix=last.u.prefix, stage_used=last.index)
+    """Value of the inverse limit map at z: exact once z leaves some V_N."""
+    return _walk_limit(cert, z, inverse=True)
 
 
 @dataclass(frozen=True)
@@ -409,6 +386,32 @@ def conjugate_element(
     conjugate = stage.g.compose(g).compose(stage.g.inverse())
     check = fixes_cylinder_pointwise(conjugate, stage.v, id_budget)
     return ConjugationResult(conjugate, stage.index, verdict.depth, check)
+
+
+RIST_SAMPLE_MAX_DEPTH = 6
+
+
+def rist_samples(family: GroupFamily, cert: ConjugatorCertificate, count: int) -> list:
+    """Up to ``count`` rigid-stabiliser generators of cylinders disjoint
+    from U_1, breadth-first below the siblings of U_1's prefixes and no
+    deeper than ``RIST_SAMPLE_MAX_DEPTH``, so a family with trivial rigid
+    stabilisers yields an empty list rather than an endless search."""
+    if len(cert.stages) < 2:
+        return []
+    alphabet = family.alphabet
+    path = cert.stages[1].u.prefix.letters
+    stems = [path[:j] + (a,) for j in range(len(path)) for a in alphabet.letters() if a != path[j]]
+    samples: list = []
+    while stems:
+        for stem in stems:
+            try:
+                samples.extend(rist_generators(family, Cylinder(Word(stem, alphabet))))
+            except EmptyRist:
+                pass
+            if len(samples) >= count:
+                return samples[:count]
+        stems = [s + (a,) for s in stems if len(s) < RIST_SAMPLE_MAX_DEPTH for a in alphabet.letters()]
+    return samples
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,25 @@ class WreathTable:
             return ((s, 1),)
         return ((s, exp),)
 
+    def image(self, word, letter: int) -> int:
+        """Root image of ``letter`` under the element ``word``."""
+        for name, exp in reversed(word):
+            letter = self.factor_perm(name, exp)[letter]
+        return letter
+
+    def section_word(self, word, letter: int) -> tuple:
+        """Reduced word of the section at ``letter`` of the element ``word``."""
+        key = (word, letter)
+        cached = self._section_cache.get(key)
+        if cached is None:
+            parts: list = []
+            for name, exp in reversed(word):
+                parts.append(self.factor_section(name, exp, letter))
+                letter = self.factor_perm(name, exp)[letter]
+            cached = self.reduce([f for part in reversed(parts) for f in part])
+            self._section_cache[key] = cached
+        return cached
+
     def reduce(self, word) -> tuple:
         """Free reduction plus involution rewriting of a generator word."""
         out: list = []
@@ -244,46 +263,29 @@ class TreeAutomorphism(GroupElement):
         if not isinstance(other, TreeAutomorphism) or other.table is not self.table:
             raise FamilyMismatch("tree automorphisms must share a wreath table")
 
-    def root_image(self, letter: int) -> int:
-        for name, exp in reversed(self.word):
-            letter = self.table.factor_perm(name, exp)[letter]
-        return letter
-
     def section_at(self, letter: int) -> "TreeAutomorphism":
-        key = (self.word, letter)
-        cached = self.table._section_cache.get(key)
-        if cached is None:
-            parts: list = []
-            cur = letter
-            for name, exp in reversed(self.word):
-                parts.append(self.table.factor_section(name, exp, cur))
-                cur = self.table.factor_perm(name, exp)[cur]
-            word: list = []
-            for part in reversed(parts):
-                word.extend(part)
-            cached = self.table.reduce(word)
-            self.table._section_cache[key] = cached
-        return TreeAutomorphism(self.table, cached)
+        return TreeAutomorphism(self.table, self.table.section_word(self.word, letter))
 
     def act_word(self, w: Word) -> Word:
         self.alphabet.check(w.alphabet)
         out = []
-        elem = self
+        word = self.word
         for letter in w:
-            out.append(elem.root_image(letter))
-            elem = elem.section_at(letter)
+            out.append(self.table.image(word, letter))
+            word = self.table.section_word(word, letter)
         return Word(tuple(out), self.alphabet)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
-        return _act_point_by_sections(self, x)
+        table = self.table
+        return _transduce(lambda word, a: (table.image(word, a), table.section_word(word, a)), self.word, x)
 
     def section(self, w: Word) -> "TreeAutomorphism":
         self.alphabet.check(w.alphabet)
-        elem = self
+        word = self.word
         for letter in w:
-            elem = elem.section_at(letter)
-        return elem
+            word = self.table.section_word(word, letter)
+        return TreeAutomorphism(self.table, word)
 
     def compose(self, other) -> "TreeAutomorphism":
         self._check_family(other)
@@ -302,12 +304,11 @@ class TreeAutomorphism(GroupElement):
         stack = [self.word]
         while stack:
             word = stack.pop()
-            elem = TreeAutomorphism(self.table, word)
             for letter in self.alphabet.letters():
-                if elem.root_image(letter) != letter:
+                if self.table.image(word, letter) != letter:
                     return Tri.NO
             for letter in self.alphabet.letters():
-                sec = elem.section_at(letter).word
+                sec = self.table.section_word(word, letter)
                 if sec and sec not in seen:
                     if len(seen) >= budget:
                         return Tri.UNKNOWN
@@ -321,16 +322,14 @@ class TreeAutomorphism(GroupElement):
     def identity_like(self) -> "TreeAutomorphism":
         return TreeAutomorphism.identity(self.table)
 
-    def _state_key(self):
-        return self.word
 
+def _transduce(step, state, x: BoundaryPoint) -> BoundaryPoint:
+    """Exact image of an eventually periodic point under a transducer.
 
-def _act_point_by_sections(elem, x: BoundaryPoint) -> BoundaryPoint:
-    """Exact image of an eventually periodic point.
-
-    Follows sections along ``x``; once inside the periodic part, the
-    (section, phase) state must repeat, and the output letters between the
-    two occurrences form the image period.
+    ``step(state, letter)`` returns ``(output letter, next state)``; states
+    must be hashable.  Once inside the periodic part of ``x``, the
+    (state, phase) pair must repeat, and the output letters between the two
+    occurrences form the image period.
     """
     pre_len = len(x.preperiod)
     per_len = len(x.period)
@@ -339,18 +338,17 @@ def _act_point_by_sections(elem, x: BoundaryPoint) -> BoundaryPoint:
     n = 0
     while True:
         if n >= pre_len:
-            state = (elem._state_key(), (n - pre_len) % per_len)
-            if state in seen:
-                start = seen[state]
+            key = (state, (n - pre_len) % per_len)
+            if key in seen:
+                start = seen[key]
                 return BoundaryPoint(tuple(out[:start]), tuple(out[start:]), x.alphabet)
             if len(seen) >= ACT_POINT_STATE_BUDGET:
                 raise NoCycleWithinBound(
                     f"no closing state within {ACT_POINT_STATE_BUDGET} steps"
                 )
-            seen[state] = n
-        letter = x.letter_at(n)
-        out.append(elem.root_image(letter))
-        elem = elem.section_at(letter)
+            seen[key] = n
+        letter, state = step(state, x.letter_at(n))
+        out.append(letter)
         n += 1
 
 
@@ -407,7 +405,7 @@ class PrefixBijection(GroupElement):
         size = self.alphabet.size
         _validate_code([u for u, _ in pairs], size, "domain")
         _validate_code([v for _, v in pairs], size, "range")
-        self.rules = tuple(sorted(_merge_rules(pairs, size)))
+        self.rules = _merge_siblings(pairs, size, _merge_images)
 
     def __eq__(self, other):
         return (
@@ -433,15 +431,9 @@ class PrefixBijection(GroupElement):
         if not isinstance(other, PrefixBijection) or other.alphabet != self.alphabet:
             raise FamilyMismatch("prefix bijections must share an alphabet")
 
-    def _rule_for(self, letters) -> tuple | None:
-        for u, v in self.rules:
-            if letters[: len(u)] == u:
-                return u, v
-        return None
-
     def act_word(self, w: Word) -> Word:
         self.alphabet.check(w.alphabet)
-        rule = self._rule_for(w.letters)
+        rule = _lookup(self.rules, w.letters)
         if rule is None:
             raise UnresolvedWord(f"word {w} shorter than resolution depth {self.resolution_depth()}")
         u, v = rule
@@ -450,13 +442,13 @@ class PrefixBijection(GroupElement):
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
         depth = self.resolution_depth()
-        rule = self._rule_for(x.prefix(depth).letters)
+        rule = _lookup(self.rules, x.prefix(depth).letters)
         u, v = rule
         return x.shift(len(u)).prepend(Word(v, self.alphabet))
 
     def section(self, w: Word) -> "PrefixBijection":
         self.alphabet.check(w.alphabet)
-        if self._rule_for(w.letters) is None:
+        if _lookup(self.rules, w.letters) is None:
             raise UnresolvedWord(f"word {w} does not resolve a rule")
         return PrefixBijection.identity(self.alphabet)
 
@@ -465,7 +457,7 @@ class PrefixBijection(GroupElement):
         out = []
 
         def refine(u, v):
-            rule = self._rule_for(v)
+            rule = _lookup(self.rules, v)
             if rule is not None:
                 p, q = rule
                 out.append((Word(u, self.alphabet), Word(q + v[len(p):], self.alphabet)))
@@ -492,26 +484,44 @@ class PrefixBijection(GroupElement):
     def identity_like(self) -> "PrefixBijection":
         return PrefixBijection.identity(self.alphabet)
 
-def _merge_rules(pairs, size: int):
-    """Merge sibling rules ``u a -> v a`` (all letters a) into ``u -> v``."""
-    rules = {u: v for u, v in pairs}
+
+def _lookup(rows, letters) -> tuple | None:
+    """The row ``(prefix, value)`` whose prefix starts ``letters``, if any."""
+    for row in rows:
+        if letters[: len(row[0])] == row[0]:
+            return row
+    return None
+
+
+def _merge_siblings(rows, size: int, merge) -> tuple:
+    """Normal form of a prefix-keyed table: sorted rows, with every full set
+    of siblings ``u a`` replaced by ``u`` wherever ``merge`` (the sibling
+    values in letter order) returns a merged value rather than ``None``."""
+    table = dict(rows)
     changed = True
     while changed:
         changed = False
-        for u in sorted(rules, key=len, reverse=True):
-            if not u or u not in rules:
+        for key in sorted(table, key=len, reverse=True):
+            if not key or key not in table:
                 continue
-            stem = u[:-1]
+            stem = key[:-1]
             siblings = [stem + (a,) for a in range(size)]
-            if all(s in rules for s in siblings):
-                images = [rules[s] for s in siblings]
-                if all(img and img[-1] == s[-1] and img[:-1] == images[0][:-1]
-                       for img, s in zip(images, siblings)):
+            if all(s in table for s in siblings):
+                merged = merge([table[s] for s in siblings])
+                if merged is not None:
                     for s in siblings:
-                        del rules[s]
-                    rules[stem] = images[0][:-1]
+                        del table[s]
+                    table[stem] = merged
                     changed = True
-    return list(rules.items())
+    return tuple(sorted(table.items()))
+
+
+def _merge_images(images):
+    """Rules ``u a -> v a`` for every letter ``a`` merge into ``u -> v``."""
+    head = images[0][:-1]
+    if all(v and v[-1] == a and v[:-1] == head for a, v in enumerate(images)):
+        return head
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +571,7 @@ class FullGroupTable(GroupElement):
         _validate_code([c for c, _ in norm], 2, "domain")
         images = [odometer_word_image(c, k) for c, k in norm]
         _validate_code(images, 2, "range")
-        self.rows = tuple(sorted(_merge_rows(norm)))
+        self.rows = _merge_siblings(norm, 2, _merge_powers)
 
     def __eq__(self, other):
         return isinstance(other, FullGroupTable) and self.rows == other.rows
@@ -585,15 +595,9 @@ class FullGroupTable(GroupElement):
         if not isinstance(other, FullGroupTable):
             raise FamilyMismatch("full-group tables only compose with each other")
 
-    def _row_for(self, letters) -> tuple | None:
-        for c, k in self.rows:
-            if letters[: len(c)] == c:
-                return c, k
-        return None
-
     def act_word(self, w: Word) -> Word:
         self.alphabet.check(w.alphabet)
-        row = self._row_for(w.letters)
+        row = _lookup(self.rows, w.letters)
         if row is None:
             raise UnresolvedWord(f"word {w} shorter than resolution depth {self.resolution_depth()}")
         _, k = row
@@ -601,12 +605,12 @@ class FullGroupTable(GroupElement):
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
-        _, k = self._row_for(x.prefix(self.resolution_depth()).letters)
-        return _odometer_point_image(x, k)
+        _, k = _lookup(self.rows, x.prefix(self.resolution_depth()).letters)
+        return _transduce(_odometer_step, k, x)
 
     def section(self, w: Word) -> "FullGroupTable":
         self.alphabet.check(w.alphabet)
-        row = self._row_for(w.letters)
+        row = _lookup(self.rows, w.letters)
         if row is None:
             raise UnresolvedWord(f"word {w} does not resolve a row")
         _, k = row
@@ -619,7 +623,7 @@ class FullGroupTable(GroupElement):
 
         def refine(c, k):
             image = odometer_word_image(c, k)
-            row = self._row_for(image)
+            row = _lookup(self.rows, image)
             if row is not None:
                 out.append((Word(c), k + row[1]))
             else:
@@ -647,42 +651,15 @@ class FullGroupTable(GroupElement):
         return FullGroupTable.identity()
 
 
-def _merge_rows(rows):
-    table = {c: k for c, k in rows}
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(table, key=len, reverse=True):
-            if not c or c not in table:
-                continue
-            stem = c[:-1]
-            sib = (stem + (0,), stem + (1,))
-            if sib[0] in table and sib[1] in table and table[sib[0]] == table[sib[1]]:
-                k = table[sib[0]]
-                del table[sib[0]], table[sib[1]]
-                table[stem] = k
-                changed = True
-    return list(table.items())
+def _merge_powers(powers):
+    """Sibling rows with one power merge into their parent row."""
+    return powers[0] if len(set(powers)) == 1 else None
 
 
-def _odometer_point_image(x: BoundaryPoint, power: int) -> BoundaryPoint:
-    """Add ``power`` to an eventually periodic dyadic word, with carry."""
-    pre_len, per_len = len(x.preperiod), len(x.period)
-    out: list[int] = []
-    seen: dict = {}
-    carry = power
-    n = 0
-    while True:
-        if n >= pre_len:
-            state = (carry, (n - pre_len) % per_len)
-            if state in seen:
-                start = seen[state]
-                return BoundaryPoint(tuple(out[:start]), tuple(out[start:]), x.alphabet)
-            seen[state] = n
-        total = x.letter_at(n) + carry
-        out.append(total & 1)
-        carry = total >> 1
-        n += 1
+def _odometer_step(carry: int, letter: int) -> tuple[int, int]:
+    """Add-with-carry, least-significant letter first; the carry is the state."""
+    total = letter + carry
+    return total & 1, total >> 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .space import Alphabet, BoundaryPoint, Cylinder, Word, cylinders_at_depth
-from .elements import GroupElement, NoCycleWithinBound, Tri, tri_all
+from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri, tri_all
 
 DEFAULT_MAX_DEPTH = 30
 DEFAULT_ID_BUDGET = 512
 DEFAULT_ENUM_MAXLEN = 8
+INVOLUTION_BUDGET = 64
 
 
 class PointClass(Enum):
@@ -59,17 +60,28 @@ class GroupFamily:
                 return g
         raise KeyError(name)
 
-    def involutive_names(self, budget: int = 64) -> frozenset:
-        """Generators confirmed involutive by the identity oracle (used only
-        to prune redundant words during enumeration)."""
-        key = ("involutive", budget)
-        if key not in self._caches:
-            self._caches[key] = frozenset(
-                name
-                for name, g in self.generators
-                if g.compose(g).is_identity(budget) is Tri.YES
-            )
-        return self._caches[key]
+    def moves(self) -> tuple:
+        """``generator_moves`` of the family's own generators, cached."""
+        if "moves" not in self._caches:
+            self._caches["moves"] = generator_moves(self.generators)
+        return self._caches["moves"]
+
+
+def generator_moves(named_generators) -> tuple:
+    """Expansion letters ``((name, exp), element)`` in declared order: each
+    generator, then its inverse unless the identity oracle confirms the
+    generator involutive.  An involution left unconfirmed only keeps a
+    redundant inverse letter."""
+    moves = []
+    for name, g in named_generators:
+        moves.append(((name, 1), g))
+        try:
+            involutive = g.compose(g).is_identity(INVOLUTION_BUDGET) is Tri.YES
+        except TablePowerExceeded:
+            involutive = False
+        if not involutive:
+            moves.append(((name, -1), g.inverse()))
+    return tuple(moves)
 
 
 def stabilises(g: GroupElement, x: BoundaryPoint) -> Tri:
@@ -158,19 +170,14 @@ def in_neighbourhood_stabiliser(
 def reduced_generator_words(family: GroupFamily, max_len: int):
     """Shortlex stream of reduced words over the family's generators.
 
-    Yields ``(word, element)`` with words over ``(name, +-1)``; inverse
-    letters are omitted for generators the identity oracle confirms
-    involutive, and free cancellations are skipped.
+    Yields ``(word, element)`` with words over the family's ``moves``;
+    free cancellations, and squares of involutions, are skipped.
     """
-    involutive = family.involutive_names()
-    letters = []
-    for name, g in family.generators:
-        letters.append(((name, 1), g))
-        if name not in involutive:
-            letters.append(((name, -1), g.inverse()))
+    letters = family.moves()
+    inverted = {name for (name, exp), _ in letters if exp < 0}
 
     def cancels(last, nxt):
-        return last[0] == nxt[0] and (last[0] in involutive or last[1] == -nxt[1])
+        return last[0] == nxt[0] and (last[0] not in inverted or last[1] == -nxt[1])
 
     frontier = [((), family.identity)]
     yield (), family.identity

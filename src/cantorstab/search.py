@@ -19,6 +19,7 @@ from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri
 from .engine import (
     DEFAULT_ID_BUDGET,
     GroupFamily,
+    generator_moves,
     in_rigid_stabiliser,
     reduced_generator_words,
 )
@@ -48,20 +49,6 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_word_len < 1 or self.max_states < 1:
             raise ValueError("budgets must be >= 1")
-
-
-def _moves(named_generators, involution_budget: int = 64):
-    """Expansion moves: each generator and, unless involutive, its inverse."""
-    moves = []
-    for name, g in named_generators:
-        moves.append(((name, 1), g))
-        try:
-            involutive = g.compose(g).is_identity(involution_budget) is Tri.YES
-        except TablePowerExceeded:
-            involutive = False
-        if not involutive:
-            moves.append(((name, -1), g.inverse()))
-    return moves
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,7 @@ def cylinder_orbit(
     alphabet = seed.alphabet
     if budget is None:
         budget = orbit_budget(alphabet.size, depth)
-    moves = _moves(named_generators)
+    moves = generator_moves(named_generators)
     reached: dict = {}
     truncated = False
 
@@ -181,14 +168,25 @@ def minimality_witness(
     """
     if not named_generators:
         raise ValueError("need at least one generator")
-    alphabet = named_generators[0][1].alphabet
+    whole = Cylinder(Word((), named_generators[0][1].alphabet))
+    return _orbit_witness(named_generators, whole, depth, budget)
+
+
+def _orbit_witness(named_generators, u: Cylinder, depth: int, budget) -> MinimalityWitness:
+    """Whether every depth-d sub-cylinder of u reaches every other one."""
+    alphabet = u.alphabet
+    seeds = [
+        Cylinder(Word(u.prefix.letters + c.prefix.letters, alphabet))
+        for c in cylinders_at_depth(alphabet, depth - u.depth)
+    ]
+    targets = {c.prefix.letters for c in seeds}
     certificates = {}
     ok = True
     truncated = False
-    for seed in cylinders_at_depth(alphabet, depth):
+    for seed in seeds:
         cert = cylinder_orbit(named_generators, seed, depth, budget)
         certificates[seed.prefix.letters] = cert
-        ok = ok and len(cert.reached) == alphabet.size**depth
+        ok = ok and targets <= cert.reached.keys()
         truncated = truncated or cert.truncated
     return MinimalityWitness(depth=depth, ok=ok, truncated=truncated, certificates=certificates)
 
@@ -266,7 +264,7 @@ def transporter(
         raise SearchExhausted("no generators and no identity prototype")
     if not rist_gens:
         raise SearchExhausted("no generators to search over")
-    moves = _moves([(f"r{i}", g) for i, g in enumerate(rist_gens)])
+    moves = generator_moves([(f"r{i}", g) for i, g in enumerate(rist_gens)])
     visited = {current}
     queue = deque([(current, identity or rist_gens[0].identity_like(), 0)])
     while queue:
@@ -310,19 +308,4 @@ def local_minimality_witness(
     if depth < u.depth:
         raise ValueError("depth must be >= cylinder depth")
     gens = rist_generators(family, u, id_budget=id_budget)
-    named = [(f"r{i}", g) for i, g in enumerate(gens)]
-    alphabet = u.alphabet
-    sub = [
-        Cylinder(Word(u.prefix.letters + c.prefix.letters, alphabet))
-        for c in cylinders_at_depth(alphabet, depth - u.depth)
-    ]
-    certificates = {}
-    ok = True
-    truncated = False
-    targets = {c.prefix.letters for c in sub}
-    for seed in sub:
-        cert = cylinder_orbit(named, seed, depth, budget)
-        certificates[seed.prefix.letters] = cert
-        ok = ok and targets <= set(cert.reached)
-        truncated = truncated or cert.truncated
-    return MinimalityWitness(depth=depth, ok=ok, truncated=truncated, certificates=certificates)
+    return _orbit_witness([(f"r{i}", g) for i, g in enumerate(gens)], u, depth, budget)

@@ -132,13 +132,20 @@ def certificate_to_obj(cert: ConjugatorCertificate) -> dict:
     }
 
 
+STAGE_FIELDS = {"i": int, "d": int, "U": str, "V": str, "h": dict, "g": dict}
+
+
 def certificate_from_obj(obj: dict, family) -> ConjugatorCertificate:
     alphabet = Alphabet(obj["alphabet"])
     if family.name != obj["family"]:
         raise ValueError(f"certificate family {obj['family']!r} != {family.name!r}")
+    if not isinstance(obj["stages"], list) or not obj["stages"]:
+        raise ValueError("certificate stages must be a nonempty list")
     table = family_table(family)
     stages = []
-    for raw in obj["stages"]:
+    for n, raw in enumerate(obj["stages"]):
+        if not isinstance(raw, dict) or any(not isinstance(raw.get(k), t) for k, t in STAGE_FIELDS.items()):
+            raise ValueError(f"certificate stage {n} must have fields {', '.join(STAGE_FIELDS)} of the right types")
         stages.append(
             Stage(
                 index=raw["i"],

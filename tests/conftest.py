@@ -1,15 +1,6 @@
 import pytest
 
-from cantorstab import (
-    Cylinder,
-    EmptyRist,
-    TreeAutomorphism,
-    Word,
-    grigorchuk,
-    odometer_full,
-    prefix_v,
-    rist_generators,
-)
+from cantorstab import TreeAutomorphism, grigorchuk, odometer_full, prefix_v
 from cantorstab.presets import GRIGORCHUK_TABLE
 
 
@@ -34,24 +25,3 @@ def grig_gen(name):
 
 def grig_word(letters):
     return TreeAutomorphism(GRIGORCHUK_TABLE, tuple((n, 1) for n in letters))
-
-
-def rist_samples_off_u1(family, cert, count):
-    """Rigid-stabiliser elements supported on cylinders disjoint from U_1:
-    oracle generators below the vertices outside U_1, breadth-first."""
-    u1 = cert.stages[1].u
-    alphabet = family.alphabet
-    samples = []
-    stems = [(a,) for a in alphabet.letters() if (a,) != u1.prefix.letters]
-    while stems and len(samples) < count:
-        nxt = []
-        for stem in stems:
-            try:
-                samples.extend(rist_generators(family, Cylinder(Word(stem, alphabet))))
-            except EmptyRist:
-                pass
-            nxt.extend(stem + (a,) for a in alphabet.letters())
-        stems = nxt
-        if stems and len(stems[0]) > 6:
-            break
-    return samples[:count]

@@ -36,7 +36,8 @@ from cantorstab import (
 from cantorstab.engine import reduced_generator_words
 from cantorstab import serialize
 
-from conftest import grig_word, rist_samples_off_u1
+from cantorstab.conjugator import rist_samples
+from conftest import grig_word
 
 pt = parse_point
 
@@ -131,7 +132,7 @@ def test_criterion_5_theorem_end_to_end(grig, grig_cert):
     start = time.monotonic()
     verification = verify_certificate(grig_cert)
     assert verification.ok, verification.failures()
-    samples = rist_samples_off_u1(grig, grig_cert, 50)
+    samples = rist_samples(grig, grig_cert, 50)
     assert len(samples) >= 50
     suite = conjugation_suite(grig_cert, samples)
     counts = suite.counts()

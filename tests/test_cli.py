@@ -2,17 +2,28 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cantorstab import DepthSchedule, build_conjugator, parse_point, verify_certificate
 from cantorstab import serialize
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "cantorstab.cli", *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+
+
+# the binary odometer as a one-generator wreath family (README example)
+ODO_WREATH = {
+    "type": "wreath", "name": "odo-wreath", "alphabet": 2,
+    "generators": {"t": {"perm": [1, 0], "sections": [None, "t"]}},
+    "public": ["t"],
+}
 
 
 # -- classify -----------------------------------------------------------------
@@ -113,6 +124,47 @@ def test_verify_schema_error_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stages", 5),
+    ("h", None),
+    ("stages", []),
+], ids=["stages-int", "h-null", "stages-empty"])
+def test_verify_malformed_certificate_exit_2(tmp_path, field, value):
+    cert_path = tmp_path / "cert.json"
+    run_cli(
+        "conjugate", "--family", "grigorchuk",
+        "--x", "(0)", "--y", "(01)", "--depth", "3", "--out", str(cert_path),
+    )
+    envelope = json.loads(cert_path.read_text())
+    if field == "stages":
+        envelope["canonical"]["stages"] = value
+    else:
+        envelope["canonical"]["stages"][1][field] = value
+    cert_path.write_text(json.dumps(envelope))
+    proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_verify_samples_family_without_rigid_stabilisers(tmp_path):
+    # every proper rigid stabiliser of the odometer is trivial: the sample
+    # search must stop at its depth cap with an empty suite
+    family_path = tmp_path / "odo.json"
+    family_path.write_text(json.dumps(ODO_WREATH))
+    cert_path = tmp_path / "cert.json"
+    proc = run_cli(
+        "conjugate", "--family", str(family_path),
+        "--x", "(0)", "--y", "(0)", "--depth", "3", "--out", str(cert_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(
+        "verify", "--family", str(family_path), "--cert", str(cert_path),
+        "--samples", "1", "--format", "json", timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["canonical"]["suite"]["entries"] == []
+
+
 def test_conjugate_search_failure_exit_3(tmp_path):
     # the bare single-generator family has empty proper rigid stabilisers
     family_path = tmp_path / "bare.json"
@@ -193,11 +245,7 @@ def test_certificate_json_round_trip(grig):
 
 def test_custom_wreath_family_file(tmp_path):
     family_path = tmp_path / "odo.json"
-    family_path.write_text(json.dumps({
-        "type": "wreath", "name": "odo-wreath", "alphabet": 2,
-        "generators": {"t": {"perm": [1, 0], "sections": [None, "t"]}},
-        "public": ["t"],
-    }))
+    family_path.write_text(json.dumps(ODO_WREATH))
     proc = run_cli("orbit", "--family", str(family_path), "--seed", "00", "--depth", "2")
     assert proc.returncode == 0 and "4 cylinders" in proc.stdout
 
@@ -208,6 +256,12 @@ def test_orbit_strict_budget_exit_4():
         "--maxlen", "2", "--strict",
     )
     assert proc.returncode == 4
+
+
+def test_strict_only_on_orbit():
+    # only orbit can be budget-truncated; elsewhere --strict is not an option
+    proc = run_cli("germs", "--family", "grigorchuk", "--point", "(1)", "--strict")
+    assert proc.returncode == 2
 
 
 def test_rist_oracle_flag():

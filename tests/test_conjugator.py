@@ -23,7 +23,8 @@ from cantorstab import (
     verify_certificate,
 )
 
-from conftest import grig_word, rist_samples_off_u1
+from cantorstab.conjugator import rist_samples
+from conftest import grig_gen, grig_word
 
 pt = parse_point
 
@@ -88,6 +89,37 @@ def test_verify_detects_composed_generator(grig, grig_cert):
     report = verify_certificate(bad)
     assert not report.ok
     assert any(r.condition in ("image", "agreement", "convergence") for r in report.failures())
+
+
+def replace_stage(cert, i, **fields):
+    stages = list(cert.stages)
+    stages[i] = dataclasses.replace(stages[i], **fields)
+    return dataclasses.replace(cert, stages=tuple(stages))
+
+
+def statuses(report, stage):
+    return {r.condition: r.status for r in report.results if r.stage == stage}
+
+
+def test_verify_detects_h_not_in_chain(grig):
+    # k2@V_2 lies in rist(V_2), so only the chain g_3 = h_3 g_2 catches it
+    cert = build_conjugator(grig, pt("(0)"), pt("(01)"), DepthSchedule.unit_steps(6))
+    v2 = str(cert.stages[2].v.prefix)
+    bad = replace_stage(cert, 3, h=grig_gen(f"k2@{v2}"))
+    found = statuses(verify_certificate(bad), 3)
+    assert found["rist"] == "PASS"
+    assert found["chain"] == "FAIL"
+
+
+def test_verify_detects_change_below_depth_outside_u(grig, grig_cert):
+    # k1@10 fixes every word of length 3, so g_3 keeps its words at depth
+    # d_3 = 3, but it differs from g_2 below [10], which is disjoint from U_2
+    assert grig_cert.stages[2].u.prefix.letters == (0, 0)
+    stage = grig_cert.stages[3]
+    bad = replace_stage(grig_cert, 3, g=stage.g.compose(grig_gen("k1@10")))
+    found = statuses(verify_certificate(bad), 3)
+    assert found["image"] == "PASS"
+    assert found["agreement"] == "FAIL"
 
 
 def test_verify_zero_stage_certificate(grig):
@@ -230,7 +262,7 @@ def test_conjugate_rejects_nontrivial_germ(grig):
 
 
 def test_conjugation_suite_passes_on_rist_samples(grig, grig_cert):
-    samples = rist_samples_off_u1(grig, grig_cert, 30)
+    samples = rist_samples(grig, grig_cert, 30)
     assert len(samples) == 30
     report = conjugation_suite(grig_cert, samples)
     counts = report.counts()

@@ -7,6 +7,7 @@ from cantorstab import (
     FamilyMismatch,
     FullGroupTable,
     IncompleteCode,
+    NoCycleWithinBound,
     NotBijective,
     PrefixBijection,
     TreeAutomorphism,
@@ -17,6 +18,7 @@ from cantorstab import (
     parse_generator_word,
     parse_point,
 )
+from cantorstab.elements import ACT_POINT_STATE_BUDGET
 from cantorstab.presets import GRIGORCHUK_TABLE
 
 from conftest import grig_gen, grig_word
@@ -328,6 +330,16 @@ def test_odometer_tree_vs_table_on_points():
     for text in ("(0)", "(1)", "1(10)", "0110(101)"):
         p = parse_point(text)
         assert tree.act_point(p) == table.act_point(p)
+
+
+def test_odometer_point_image_state_budget():
+    # the carry settles within a few letters, so the (carry, phase) states
+    # outgrow the budget only on periods of thousands of letters
+    tree, table = tau_tree(), FullGroupTable.odometer()
+    p = BoundaryPoint((), (0,) * 2000 + (1,))
+    assert table.act_point(p) == tree.act_point(p)
+    with pytest.raises(NoCycleWithinBound):
+        table.act_point(BoundaryPoint((), (0,) * ACT_POINT_STATE_BUDGET + (1,)))
 
 
 # -- table/prefix composition and sections -------------------------------

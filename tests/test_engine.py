@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorstab import (
     Cylinder,
+    FullGroupTable,
     GermKind,
     PointClass,
     Tri,
@@ -14,7 +15,7 @@ from cantorstab import (
     parse_point,
     stabilises,
 )
-from cantorstab.engine import reduced_generator_words
+from cantorstab.engine import generator_moves, reduced_generator_words
 
 from conftest import grig_word
 
@@ -200,8 +201,13 @@ def test_reduced_words_shortlex_and_reduced(grig):
 
 
 def test_involutive_detection(grig, odometer):
-    assert grig.involutive_names() == frozenset("abcd")
-    assert odometer.involutive_names() == frozenset()
+    # an involution contributes its letter only, any other generator its
+    # inverse too; a square beyond the table power bound is not involutive
+    assert [letter for letter, _ in grig.moves()] == [(n, 1) for n in "abcd"]
+    assert [letter for letter, _ in odometer.moves()] == [("t", 1), ("t", -1)]
+    big = FullGroupTable.odometer(40)
+    assert [letter for letter, _ in generator_moves([("u", big)])] == [("u", 1), ("u", -1)]
+    assert grig.moves() is grig.moves()
 
 
 def test_tiny_budget_yields_provisional_classes(grig):
