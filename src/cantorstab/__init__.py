@@ -9,6 +9,7 @@ from .space import (
     CylinderRelation,
     DepthSchedule,
     Word,
+    complement,
     contains_point,
     cylinder_relation,
     cylinders_at_depth,

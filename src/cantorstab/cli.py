@@ -16,16 +16,15 @@ Input grammar
              pairs ``[["10","01"], ...]``, full-group tables JSON row pairs
              ``[["cylinder", power], ...]``.
 
-The environment variable ``CANTORSTAB_BUDGET_SCALE`` (a float) multiplies
-every integer budget, for quick global tuning.
+Budgets (``--id-budget``, ``--max-depth``, ``--maxlen``, ``--rist-maxlen``,
+``--max-states``) and ``conjugate --depth`` must be at least 1; ``orbit
+--maxlen 0`` means no cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 from . import presets
@@ -65,21 +64,12 @@ EXIT_BUDGET = 4
 DEFAULT_SEARCH_MAXLEN = 10
 
 
-def budget_scale() -> float:
-    raw = os.environ.get("CANTORSTAB_BUDGET_SCALE", "")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise SystemExit(f"CANTORSTAB_BUDGET_SCALE must be a float, got {raw!r}")
-    if scale <= 0:
-        raise SystemExit("CANTORSTAB_BUDGET_SCALE must be positive")
-    return scale
-
-
-def scaled(value: int) -> int:
-    return max(1, math.ceil(value * budget_scale()))
+def positive_int(text: str) -> int:
+    """Argument type of a budget or depth: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def load_family(spec: str) -> GroupFamily:
@@ -144,8 +134,7 @@ def write_certificate(path: str, cert) -> None:
 
 
 def _germ_report(family, point, args):
-    return germ_classes(family, point, max_word_len=scaled(args.maxlen),
-                        max_depth=scaled(args.max_depth), budget=scaled(args.id_budget))
+    return germ_classes(family, point, args.maxlen, args.max_depth, args.id_budget)
 
 
 def cmd_classify(args) -> int:
@@ -172,13 +161,11 @@ def cmd_conjugate(args) -> int:
     family = load_family(args.family)
     x = parse_point(args.x, family.alphabet)
     y = parse_point(args.y, family.alphabet)
-    if args.depth < 1:
-        raise ValueError("--depth must be >= 1")
     schedule = DepthSchedule.unit_steps(args.depth)
     budgets = BuildBudgets(
-        transporter=SearchBudget(scaled(args.maxlen), scaled(args.max_states)),
-        rist=SearchBudget(scaled(args.rist_maxlen), scaled(args.max_states)),
-        id_budget=scaled(args.id_budget),
+        transporter=SearchBudget(args.maxlen, args.max_states),
+        rist=SearchBudget(args.rist_maxlen, args.max_states),
+        id_budget=args.id_budget,
     )
     try:
         cert = build_conjugator(family, x, y, schedule, budgets)
@@ -200,19 +187,20 @@ def cmd_conjugate(args) -> int:
 def _load_certificate(path: str, family):
     with open(path) as handle:
         envelope = json.load(handle)
-    if envelope.get("schema") != serialize.SCHEMA_CERTIFICATE:
-        raise ValueError(f"not a certificate file: schema {envelope.get('schema')!r}")
+    schema = envelope.get("schema") if isinstance(envelope, dict) else None
+    if schema != serialize.SCHEMA_CERTIFICATE:
+        raise ValueError(f"not a certificate file: schema {schema!r}")
     return serialize.certificate_from_obj(envelope["canonical"], family)
 
 
 def cmd_verify(args) -> int:
     family = load_family(args.family)
     cert = _load_certificate(args.cert, family)
-    report = verify_certificate(cert, id_budget=scaled(args.id_budget))
+    report = verify_certificate(cert, id_budget=args.id_budget)
     suite = None
     if args.samples > 0:
         samples = rist_samples(family, cert, args.samples)
-        suite = conjugation_suite(cert, samples, id_budget=scaled(args.id_budget))
+        suite = conjugation_suite(cert, samples, id_budget=args.id_budget)
     body = serialize.verify_to_obj(report, suite)
     lines = [f"verify {args.cert}: {'PASS' if body['ok'] else 'FAIL'}"]
     for check in report.results:
@@ -227,9 +215,7 @@ def cmd_verify(args) -> int:
 def cmd_orbit(args) -> int:
     family = load_family(args.family)
     seed = Cylinder(Word.from_string(args.seed, family.alphabet))
-    budget = None
-    if args.maxlen:
-        budget = SearchBudget(scaled(args.maxlen), scaled(args.max_states))
+    budget = SearchBudget(args.maxlen, args.max_states) if args.maxlen else None
     cert = cylinder_orbit(list(family.generators), seed, args.depth, budget)
     body = serialize.orbit_to_obj(cert)
     lines = [
@@ -245,17 +231,11 @@ def cmd_orbit(args) -> int:
 def cmd_rist(args) -> int:
     family = load_family(args.family)
     u = Cylinder(Word.from_string(args.cylinder, family.alphabet))
+    budget = SearchBudget(args.maxlen, args.max_states)
     if args.oracle:
-        elements = rist_generators(
-            family, u, SearchBudget(scaled(args.maxlen), scaled(args.max_states)),
-            scaled(args.id_budget),
-        )
-        found = [(None, g) for g in elements]
+        found = [(None, g) for g in rist_generators(family, u, budget, args.id_budget)]
     else:
-        found = rist_search(
-            family, u, SearchBudget(scaled(args.maxlen), scaled(args.max_states)),
-            scaled(args.id_budget),
-        )
+        found = rist_search(family, u, budget, args.id_budget)
     elements = [g for _, g in found]
     body = serialize.rist_to_obj(u, elements)
     lines = [f"rist({u}): {len(elements)} elements"]
@@ -294,25 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the report to this path (atomic)")
         if id_budget:
-            p.add_argument("--id-budget", type=int, default=DEFAULT_ID_BUDGET)
+            p.add_argument("--id-budget", type=positive_int, default=DEFAULT_ID_BUDGET)
         if max_states:
-            p.add_argument("--max-states", type=int, default=50000)
+            p.add_argument("--max-states", type=positive_int, default=50000)
 
     p = sub.add_parser("classify", help="regular/singular classification of a point")
     common(p)
     p.add_argument("--point", required=True)
     p.add_argument("--germs", action="store_true", help="attach germ-class evidence")
-    p.add_argument("--maxlen", type=int, default=4)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--maxlen", type=positive_int, default=4)
+    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conjugate", help="build a conjugator certificate x -> y")
     common(p, max_states=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--maxlen", type=int, default=12, help="transporter word length")
-    p.add_argument("--rist-maxlen", type=int, default=8)
+    p.add_argument("--depth", type=positive_int, required=True)
+    p.add_argument("--maxlen", type=positive_int, default=12, help="transporter word length")
+    p.add_argument("--rist-maxlen", type=positive_int, default=8)
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
@@ -335,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rist", help="rigid-stabiliser elements of a cylinder")
     common(p, max_states=True)
     p.add_argument("--cylinder", required=True)
-    p.add_argument("--maxlen", type=int, default=DEFAULT_SEARCH_MAXLEN)
+    p.add_argument("--maxlen", type=positive_int, default=DEFAULT_SEARCH_MAXLEN)
     p.add_argument("--oracle", action="store_true",
                    help="use the family oracle instead of word enumeration")
     p.set_defaults(func=cmd_rist)
@@ -343,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("germs", help="germ classes of a point")
     common(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--maxlen", type=int, default=DEFAULT_ENUM_MAXLEN)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--maxlen", type=positive_int, default=DEFAULT_ENUM_MAXLEN)
+    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_germs)
 
     return parser

@@ -28,6 +28,7 @@ from .space import (
     CylinderRelation,
     DepthSchedule,
     Word,
+    complement,
     contains_point,
     cylinder_relation,
 )
@@ -66,23 +67,12 @@ class BuildBudgets:
     retry_step: int = 2
 
     def to_obj(self) -> dict:
-        return {
-            "transporter": asdict(self.transporter),
-            "rist": asdict(self.rist),
-            "id_budget": self.id_budget,
-            "retries": self.retries,
-            "retry_step": self.retry_step,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BuildBudgets":
-        return cls(
-            transporter=SearchBudget(**obj["transporter"]),
-            rist=SearchBudget(**obj["rist"]),
-            id_budget=obj["id_budget"],
-            retries=obj["retries"],
-            retry_step=obj["retry_step"],
-        )
+        searches = {k: SearchBudget(**obj[k]) for k in ("transporter", "rist")}
+        return cls(**{**obj, **searches})
 
 
 @dataclass(frozen=True)
@@ -144,8 +134,9 @@ def build_conjugator(
 
     Stage i finds h_i in rist(V_{i-1}) moving the current image of x onto
     the prefix of y at depth ``d_i + margin``, multiplies it in, and records
-    the exact image cylinder V_i = g_i(U_i).  Transporter failures retry
-    with a longer word budget before giving up.
+    the exact image cylinder V_i = g_i(U_i).  The transporter search takes
+    words up to ``max_word_len + retries * retry_step`` long, since its
+    breadth-first order does not depend on the cap.
     """
     family.alphabet.check(x.alphabet)
     family.alphabet.check(y.alphabet)
@@ -180,22 +171,12 @@ def build_conjugator(
                 gens = rist_generators(family, v_prev, budgets.rist, budgets.id_budget)
             except EmptyRist as exc:
                 fail(str(exc), i)
-            word_len = budgets.transporter.max_word_len
-            h = None
-            for attempt in range(budgets.retries + 1):
-                try:
-                    h = transporter(
-                        gens,
-                        current,
-                        target,
-                        SearchBudget(word_len, budgets.transporter.max_states),
-                        identity=identity,
-                    )
-                    break
-                except SearchExhausted as exc:
-                    if attempt == budgets.retries:
-                        fail(f"stage {i}: {exc}", i)
-                    word_len += budgets.retry_step
+            word_len = budgets.transporter.max_word_len + budgets.retries * budgets.retry_step
+            budget = SearchBudget(word_len, budgets.transporter.max_states)
+            try:
+                h = transporter(gens, current, target, budget, identity=identity)
+            except SearchExhausted as exc:
+                fail(f"stage {i}: {exc}", i)
         try:
             g = h.compose(g)
         except TablePowerExceeded as exc:
@@ -399,8 +380,7 @@ def rist_samples(family: GroupFamily, cert: ConjugatorCertificate, count: int) -
     if len(cert.stages) < 2:
         return []
     alphabet = family.alphabet
-    path = cert.stages[1].u.prefix.letters
-    stems = [path[:j] + (a,) for j in range(len(path)) for a in alphabet.letters() if a != path[j]]
+    stems = [c.prefix.letters for c in complement(cert.stages[1].u)]
     samples: list = []
     while stems:
         for stem in stems:

@@ -74,6 +74,10 @@ class TablePowerExceeded(ValueError):
 
 
 ACT_POINT_STATE_BUDGET = 4096
+# The section cache is emptied at this size: memory stays bounded in a
+# long-lived process, yet one germs command at word length 6, or one
+# conjugate and verify at depth 12, computes fewer sections than this.
+SECTION_CACHE_LIMIT = 4096
 
 GENERATOR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:@[0-9]+)?")
 
@@ -96,7 +100,8 @@ class WreathTable:
     trivially elsewhere.
 
     The section cache only memoizes a pure function, so shared concurrent
-    use cannot change observable results.
+    use cannot change observable results; it is emptied whenever it reaches
+    ``SECTION_CACHE_LIMIT`` entries.
     """
 
     def __init__(self, alphabet: Alphabet, entries: dict, involutive=()):
@@ -129,6 +134,8 @@ class WreathTable:
             raise KeyError(name)
         if base not in self.entries:
             raise KeyError(f"unknown generator {base!r} in {name!r}")
+        if int(max(path)) >= self.alphabet.size:
+            raise ValueError(f"path of {name!r} leaves the alphabet of size {self.alphabet.size}")
         letter = int(path[0])
         child = base if len(path) == 1 else f"{base}@{path[1:]}"
         sections = tuple(child if a == letter else None for a in self.alphabet.letters())
@@ -173,6 +180,8 @@ class WreathTable:
                 parts.append(self.factor_section(name, exp, letter))
                 letter = self.factor_perm(name, exp)[letter]
             cached = self.reduce([f for part in reversed(parts) for f in part])
+            if len(self._section_cache) >= SECTION_CACHE_LIMIT:
+                self._section_cache.clear()
             self._section_cache[key] = cached
         return cached
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .space import Alphabet, BoundaryPoint, Cylinder, Word, cylinders_at_depth
-from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri, tri_all
+from .space import Alphabet, BoundaryPoint, Cylinder, Word, complement
+from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri, UnresolvedWord, tri_all
 
 DEFAULT_MAX_DEPTH = 30
 DEFAULT_ID_BUDGET = 512
@@ -95,29 +95,27 @@ def stabilises(g: GroupElement, x: BoundaryPoint) -> Tri:
 def fixes_cylinder_pointwise(g: GroupElement, c: Cylinder, budget: int = DEFAULT_ID_BUDGET) -> Tri:
     """YES iff g maps the cylinder to itself and acts trivially beyond it.
 
-    For elements whose resolution depth exceeds the cylinder depth the check
-    refines to sub-cylinders, so the verdict is always about the set.
+    Where the prefix resolves no rule of g, the check refines to
+    sub-cylinders; every sub-cylinder of one rule shares that rule's verdict.
     """
     prefix = c.prefix
-    if len(prefix) < g.resolution_depth():
+    try:
+        image = g.act_word(prefix)
+    except UnresolvedWord:
         return tri_all(
             fixes_cylinder_pointwise(
                 g, Cylinder(Word(prefix.letters + (a,), c.alphabet)), budget
             )
             for a in c.alphabet.letters()
         )
-    if g.act_word(prefix) != prefix:
+    if image != prefix:
         return Tri.NO
     return g.section(prefix).is_identity(budget)
 
 
 def in_rigid_stabiliser(g: GroupElement, u: Cylinder, budget: int = DEFAULT_ID_BUDGET) -> Tri:
-    """YES iff g fixes every depth-d cylinder other than u pointwise."""
-    return tri_all(
-        fixes_cylinder_pointwise(g, c, budget)
-        for c in cylinders_at_depth(u.alphabet, u.depth)
-        if c != u
-    )
+    """YES iff g fixes the complement of u pointwise, sibling by sibling."""
+    return tri_all(fixes_cylinder_pointwise(g, c, budget) for c in complement(u))
 
 
 class GermKind(Enum):

@@ -25,7 +25,7 @@
 
 from __future__ import annotations
 
-from .space import Alphabet, BoundaryPoint, Cylinder, Word
+from .space import Alphabet, BoundaryPoint, Cylinder, Word, complement
 from .elements import (
     FullGroupTable,
     MAX_TABLE_POWER,
@@ -84,18 +84,10 @@ def grigorchuk() -> GroupFamily:
 
 
 def _odometer_rist(u: Cylinder):
-    depth = u.depth
-    if depth == 0:
-        return [FullGroupTable.odometer()]
-    power = 1 << depth
+    power = 1 << u.depth
     if power > MAX_TABLE_POWER:
         return []
-    rows = [(u.prefix, power)]
-    for value in range(1 << depth):
-        letters = tuple((value >> i) & 1 for i in range(depth))
-        if letters != u.prefix.letters:
-            rows.append((Word(letters), 0))
-    return [FullGroupTable(rows)]
+    return [FullGroupTable([(u.prefix, power)] + [(c.prefix, 0) for c in complement(u)])]
 
 
 def odometer_full() -> GroupFamily:
@@ -116,11 +108,7 @@ def sibling_swap(prefix: Word) -> PrefixBijection:
         (Word(prefix.letters + (0,), alphabet), Word(prefix.letters + (1,), alphabet)),
         (Word(prefix.letters + (1,), alphabet), Word(prefix.letters + (0,), alphabet)),
     ]
-    for i in range(len(prefix)):
-        for a in alphabet.letters():
-            if a != prefix.letters[i]:
-                w = Word(prefix.letters[:i] + (a,), alphabet)
-                rules.append((w, w))
+    rules.extend((c.prefix, c.prefix) for c in complement(Cylinder(prefix)))
     return PrefixBijection(rules, alphabet)
 
 

@@ -88,17 +88,43 @@ def element_to_obj(g: GroupElement):
     raise TypeError(f"cannot serialize {type(g).__name__}")
 
 
+ELEMENT_SHAPES = {
+    "word": {"kind": str, "word": str},
+    "prefix": {"kind": str, "rules": [[str, str]]},
+    "table": {"kind": str, "rows": [[str, int]]},
+}
+
+
+def _check_shape(obj, shape, path: str) -> None:
+    """Raise ValueError naming the first place where the JSON value ``obj``
+    leaves ``shape``: a type, ``{field: shape}`` for an object with exactly
+    these fields, ``[shape]`` for a list of them, ``[shape, shape]`` for a pair."""
+    if isinstance(shape, dict):
+        if not isinstance(obj, dict) or obj.keys() != shape.keys():
+            raise ValueError(f"{path} must have exactly the fields {', '.join(shape)}")
+        for key, sub in shape.items():
+            _check_shape(obj[key], sub, f"{path}.{key}")
+    elif isinstance(shape, list):
+        if not isinstance(obj, list) or len(shape) == 2 and len(obj) != 2:
+            raise ValueError(f"{path} must be a {'pair' if len(shape) == 2 else 'list'}")
+        for n, item in enumerate(obj):
+            _check_shape(item, shape[n] if len(shape) == 2 else shape[0], f"{path}[{n}]")
+    elif not isinstance(obj, shape):
+        raise ValueError(f"{path} must be of type {shape.__name__}")
+
+
 def element_from_obj(obj, table: WreathTable | None = None, alphabet: Alphabet | None = None):
-    kind = obj["kind"]
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in ELEMENT_SHAPES:
+        raise ValueError(f"unknown element kind {kind!r}")
+    _check_shape(obj, ELEMENT_SHAPES[kind], f"{kind} element")
     if kind == "word":
         if table is None:
             raise ValueError("word elements need a wreath table")
         return TreeAutomorphism(table, parse_generator_word(obj["word"]))
     if kind == "prefix":
         return PrefixBijection(obj["rules"], alphabet or Alphabet(2))
-    if kind == "table":
-        return FullGroupTable([(c, k) for c, k in obj["rows"]])
-    raise ValueError(f"unknown element kind {kind!r}")
+    return FullGroupTable([(c, k) for c, k in obj["rows"]])
 
 
 def family_table(family) -> WreathTable | None:
@@ -132,20 +158,27 @@ def certificate_to_obj(cert: ConjugatorCertificate) -> dict:
     }
 
 
-STAGE_FIELDS = {"i": int, "d": int, "U": str, "V": str, "h": dict, "g": dict}
+SEARCH_BUDGET_SHAPE = {"max_word_len": int, "max_states": int}
+CERTIFICATE_SHAPE = {
+    "family": str, "alphabet": int, "x": str, "y": str, "design_flags": [str],
+    "budgets": {"transporter": SEARCH_BUDGET_SHAPE, "rist": SEARCH_BUDGET_SHAPE,
+                "id_budget": int, "retries": int, "retry_step": int},
+    "stages": [{"i": int, "d": int, "U": str, "V": str, "h": dict, "g": dict}],
+}
 
 
 def certificate_from_obj(obj: dict, family) -> ConjugatorCertificate:
+    _check_shape(obj, CERTIFICATE_SHAPE, "certificate")
     alphabet = Alphabet(obj["alphabet"])
     if family.name != obj["family"]:
         raise ValueError(f"certificate family {obj['family']!r} != {family.name!r}")
-    if not isinstance(obj["stages"], list) or not obj["stages"]:
+    if not obj["stages"]:
         raise ValueError("certificate stages must be a nonempty list")
     table = family_table(family)
     stages = []
     for n, raw in enumerate(obj["stages"]):
-        if not isinstance(raw, dict) or any(not isinstance(raw.get(k), t) for k, t in STAGE_FIELDS.items()):
-            raise ValueError(f"certificate stage {n} must have fields {', '.join(STAGE_FIELDS)} of the right types")
+        if raw["i"] != n:
+            raise ValueError(f"certificate stage {n} has index {raw['i']}")
         stages.append(
             Stage(
                 index=raw["i"],

@@ -244,6 +244,14 @@ def cylinders_at_depth(alphabet: Alphabet, depth: int) -> list[Cylinder]:
     return [Cylinder(Word(w, alphabet)) for w in out]
 
 
+def complement(c: Cylinder) -> list[Cylinder]:
+    """The (size-1)*depth siblings of c's prefixes, shallowest first, then
+    by letter: the cylinders partitioning the space outside c."""
+    path = c.prefix.letters
+    siblings = (path[:j] + (a,) for j in range(len(path)) for a in c.alphabet.letters() if a != path[j])
+    return [Cylinder(Word(s, c.alphabet)) for s in siblings]
+
+
 @dataclass(frozen=True)
 class DepthSchedule:
     """Strictly increasing positive depths d_1 < d_2 < ... < d_n."""

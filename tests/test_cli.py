@@ -124,25 +124,47 @@ def test_verify_schema_error_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("field, value", [
-    ("stages", 5),
-    ("h", None),
-    ("stages", []),
-], ids=["stages-int", "h-null", "stages-empty"])
-def test_verify_malformed_certificate_exit_2(tmp_path, field, value):
-    cert_path = tmp_path / "cert.json"
-    run_cli(
+@pytest.fixture(scope="module")
+def small_certificate(tmp_path_factory):
+    cert_path = tmp_path_factory.mktemp("cert") / "cert.json"
+    proc = run_cli(
         "conjugate", "--family", "grigorchuk",
         "--x", "(0)", "--y", "(01)", "--depth", "3", "--out", str(cert_path),
     )
-    envelope = json.loads(cert_path.read_text())
-    if field == "stages":
-        envelope["canonical"]["stages"] = value
-    else:
-        envelope["canonical"]["stages"][1][field] = value
+    assert proc.returncode == 0, proc.stderr
+    return cert_path.read_text()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("canonical", "stages"), 5),
+    (("canonical", "stages", 1, "h"), None),
+    (("canonical", "stages"), []),
+    (("canonical", "alphabet"), "2"),
+    (("canonical", "budgets"), 5),
+    (("canonical", "budgets", "transporter", "extra"), 1),
+    (("canonical", "design_flags"), 5),
+    (("canonical", "x"), 5),
+    (("canonical", "stages", 1, "h", "word"), 5),
+    (("canonical", "stages", 1, "h"), {"kind": "prefix", "rules": 5}),
+    (("canonical",), []),
+    (("canonical", "stages", 1, "i"), 7),
+    # a localized path digit outside the binary alphabet
+    (("canonical", "stages", 1, "h", "word"), "k1@0123"),
+], ids=[
+    "stages-int", "h-null", "stages-empty", "alphabet-str", "budgets-int",
+    "transporter-extra-key", "design-flags-int", "x-int", "h-word-int",
+    "h-rules-int", "canonical-list", "stage-index", "path-digit-outside-alphabet",
+])
+def test_verify_malformed_certificate_exit_2(tmp_path, small_certificate, path, value):
+    envelope = json.loads(small_certificate)
+    target = envelope
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(envelope))
     proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
@@ -217,12 +239,18 @@ def test_byte_identical_output(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_budget_scale_env(tmp_path):
-    import os
-
-    env = dict(os.environ, CANTORSTAB_BUDGET_SCALE="2.0")
-    proc = run_cli("classify", "--family", "grigorchuk", "--point", "(0)", env=env)
-    assert proc.returncode == 0
+@pytest.mark.parametrize("argv", [
+    ("germs", "--family", "grigorchuk", "--point", "(1)", "--id-budget", "0"),
+    ("germs", "--family", "grigorchuk", "--point", "(1)", "--max-depth", "0"),
+    ("classify", "--family", "grigorchuk", "--point", "(1)", "--germs", "--maxlen", "-1"),
+    ("conjugate", "--family", "grigorchuk", "--x", "(0)", "--y", "(01)", "--depth", "2",
+     "--rist-maxlen", "0"),
+    ("rist", "--family", "grigorchuk", "--cylinder", "1", "--max-states", "0"),
+], ids=["id-budget", "max-depth", "maxlen", "rist-maxlen", "max-states"])
+def test_budget_below_one_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "must be >= 1" in proc.stderr
 
 
 # -- serialization round trip -------------------------------------------------------

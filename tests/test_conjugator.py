@@ -19,6 +19,7 @@ from cantorstab import (
     eval_limit,
     eval_limit_inverse,
     fixes_cylinder_pointwise,
+    load_preset,
     parse_point,
     verify_certificate,
 )
@@ -76,6 +77,34 @@ def test_certificate_flags(grig_cert):
 def test_grig_verify_all_pass(grig_cert):
     report = verify_certificate(grig_cert)
     assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize("family, x, y, depth", [
+    ("grigorchuk", "(0)", "(01)", 40),
+    ("prefix-v", "(0)", "1(01)", 12),
+])
+def test_deep_certificate_builds_and_verifies(family, x, y, depth):
+    # rist checks walk the (|X|-1)*d siblings of U and V, not all |X|^d
+    # cylinders of depth d, so deep schedules stay cheap
+    cert = build_conjugator(load_preset(family), pt(x), pt(y), DepthSchedule.unit_steps(depth))
+    report = verify_certificate(cert)
+    assert len(cert.stages) == depth + 1
+    assert report.ok, report.failures()
+
+
+def test_retries_extend_the_transporter_word_cap(grig):
+    # one search with cap max_word_len + retries * retry_step
+    from cantorstab import ConjugatorBuildError
+
+    def build(max_word_len, retries):
+        budgets = BuildBudgets(
+            transporter=SearchBudget(max_word_len, 20000), retries=retries, retry_step=1
+        )
+        return build_conjugator(grig, pt("(0)"), pt("11(0)"), DepthSchedule.unit_steps(4), budgets)
+
+    with pytest.raises(ConjugatorBuildError, match="no product of length <= 1 reaches"):
+        build(1, 0)
+    assert build(1, 2).stages == build(3, 0).stages
 
 
 def test_verify_detects_composed_generator(grig, grig_cert):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from cantorstab import (
     parse_generator_word,
     parse_point,
 )
-from cantorstab.elements import ACT_POINT_STATE_BUDGET
+from cantorstab.elements import ACT_POINT_STATE_BUDGET, SECTION_CACHE_LIMIT
 from cantorstab.presets import GRIGORCHUK_TABLE
 
 from conftest import grig_gen, grig_word
@@ -154,6 +156,21 @@ def test_section_law(letters, w, s):
     lhs = g.act_word(W(w + s))
     rhs = g.act_word(W(w)).concat(g.section(W(w)).act_word(W(s)))
     assert lhs == rhs
+
+
+def test_section_cache_is_bounded():
+    table = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
+    fresh = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
+    peak = 0
+    for letters in itertools.product("abcd", repeat=7):
+        word = table.reduce([(name, 1) for name in letters])
+        for a in (0, 1):
+            table.section_word(word, a)
+            peak = max(peak, len(table._section_cache))
+    assert peak == SECTION_CACHE_LIMIT
+    # emptying the cache changes no result
+    word = table.reduce([(name, 1) for name in "abcdabc"])
+    assert table.section_word(word, 1) == fresh.section_word(word, 1)
 
 
 # -- compose / invert ----------------------------------------------------

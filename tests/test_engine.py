@@ -7,7 +7,9 @@ from cantorstab import (
     GermKind,
     PointClass,
     Tri,
+    Word,
     classify_point,
+    cylinders_at_depth,
     fixes_cylinder_pointwise,
     germ_classes,
     in_neighbourhood_stabiliser,
@@ -15,7 +17,9 @@ from cantorstab import (
     parse_point,
     stabilises,
 )
-from cantorstab.engine import generator_moves, reduced_generator_words
+from cantorstab.elements import tri_all
+from cantorstab.engine import DEFAULT_ID_BUDGET, generator_moves, reduced_generator_words
+from cantorstab.presets import PRESETS
 
 from conftest import grig_word
 
@@ -67,6 +71,67 @@ def test_rigid_stabiliser_examples(grig):
     assert in_rigid_stabiliser(d, cyl("1"), 256) is Tri.YES
     assert in_rigid_stabiliser(grig.generator("a"), cyl("0"), 64) is Tri.NO
     assert in_rigid_stabiliser(grig.identity, cyl("01"), 1) is Tri.YES
+
+
+# -- definitional reference ------------------------------------------------
+# Rigid-stabiliser membership spelt out: every depth-d cylinder other than
+# u, each refined down to the element's resolution depth.  It costs |X|^d,
+# so it only cross-checks the sibling-complement test.
+
+
+def reference_fixes_cylinder_pointwise(g, c, budget=DEFAULT_ID_BUDGET):
+    prefix = c.prefix
+    if len(prefix) < g.resolution_depth():
+        return tri_all(
+            reference_fixes_cylinder_pointwise(
+                g, Cylinder(Word(prefix.letters + (a,), c.alphabet)), budget
+            )
+            for a in c.alphabet.letters()
+        )
+    if g.act_word(prefix) != prefix:
+        return Tri.NO
+    return g.section(prefix).is_identity(budget)
+
+
+def reference_in_rigid_stabiliser(g, u, budget=DEFAULT_ID_BUDGET):
+    return tri_all(
+        reference_fixes_cylinder_pointwise(g, c, budget)
+        for c in cylinders_at_depth(u.alphabet, u.depth)
+        if c != u
+    )
+
+
+FAMILIES = {name: load() for name, load in PRESETS.items()}
+prefixes = st.lists(st.integers(0, 1), max_size=4).map(lambda p: Cylinder(Word(tuple(p))))
+
+
+@given(st.sampled_from(sorted(FAMILIES)), prefixes, prefixes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_rist_membership_matches_reference(name, u, v, data):
+    # short words over the generators and the oracle's rist generators of
+    # u and of v, so that YES verdicts are common too
+    family = FAMILIES[name]
+    pool = [g for _, g in family.moves()] + family.rist_oracle(u) + family.rist_oracle(v)
+    g = family.identity
+    for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=4)):
+        g = g.compose(pool[i])
+    assert in_rigid_stabiliser(g, u) is reference_in_rigid_stabiliser(g, u)
+    assert fixes_cylinder_pointwise(g, u) is reference_fixes_cylinder_pointwise(g, u)
+    # a tight budget may leave either side UNKNOWN, never two definite
+    # verdicts that disagree
+    for budget in (1, 4):
+        verdicts = {in_rigid_stabiliser(g, u, budget), reference_in_rigid_stabiliser(g, u, budget)}
+        assert verdicts != {Tri.YES, Tri.NO}
+
+
+def test_rist_tight_budget_may_leave_unknown(grig):
+    # d = (1, b) fixes [1] only if its section b is the identity; with room
+    # for one section word that stays open, while the depth-2 cylinder [10]
+    # shows at once that b moves it
+    d = grig.generator("d")
+    assert in_rigid_stabiliser(d, cyl("00"), 1) is Tri.UNKNOWN
+    assert reference_in_rigid_stabiliser(d, cyl("00"), 1) is Tri.NO
+    assert in_rigid_stabiliser(d, cyl("00")) is Tri.NO
 
 
 # -- in_neighbourhood_stabiliser -------------------------------------------
