@@ -18,7 +18,12 @@ Input grammar
 
 Budgets (``--id-budget``, ``--max-depth``, ``--maxlen``, ``--rist-maxlen``,
 ``--max-states``) and ``conjugate --depth`` must be at least 1; ``orbit
---maxlen 0`` means no cap.
+--maxlen 0`` means no cap.  ``conjugate --maxlen`` is the exact word-length
+cap of each stage's transporter search.
+
+Certificates are written as ``cantorstab/certificate-v2``, which stores
+each stage's depth and correction only; ``verify`` also reads
+``cantorstab/certificate-v1`` files.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import sys
 
 from . import presets
 from .space import Cylinder, DepthSchedule, Word, parse_point
-from .elements import FullGroupTable, PrefixBijection, TreeAutomorphism, WreathTable
 from .engine import (
     DEFAULT_ENUM_MAXLEN,
     DEFAULT_ID_BUDGET,
@@ -77,42 +81,7 @@ def load_family(spec: str) -> GroupFamily:
         return presets.load_preset(spec)
     with open(spec) as handle:
         obj = json.load(handle)
-    return family_from_obj(obj)
-
-
-def family_from_obj(obj: dict) -> GroupFamily:
-    from .space import Alphabet
-
-    kind = obj.get("type")
-    alphabet = Alphabet(obj.get("alphabet", 2))
-    name = obj.get("name", "custom")
-    margin = int(obj.get("transporter_margin", 0))
-    if kind == "wreath":
-        entries = {
-            gname: (tuple(data["perm"]), tuple(data["sections"]))
-            for gname, data in obj["generators"].items()
-        }
-        table = WreathTable(alphabet, entries, tuple(obj.get("involutive", ())))
-        public = obj.get("public", sorted(obj["generators"]))
-        gens = tuple((n, TreeAutomorphism.generator(table, n)) for n in public)
-    elif kind == "prefix":
-        gens = tuple(
-            (gname, PrefixBijection(rules, alphabet))
-            for gname, rules in sorted(obj["generators"].items())
-        )
-    elif kind == "table":
-        gens = tuple(
-            (gname, FullGroupTable([(c, k) for c, k in rows]))
-            for gname, rows in sorted(obj["generators"].items())
-        )
-    else:
-        raise ValueError(f"unknown family type {kind!r}")
-    return GroupFamily(
-        name=name,
-        alphabet=alphabet,
-        generators=gens,
-        transporter_margin=margin,
-    )
+    return serialize.family_from_obj(obj)
 
 
 def emit(args, schema: str, body, text_lines) -> None:
@@ -184,18 +153,10 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
-def _load_certificate(path: str, family):
-    with open(path) as handle:
-        envelope = json.load(handle)
-    schema = envelope.get("schema") if isinstance(envelope, dict) else None
-    if schema != serialize.SCHEMA_CERTIFICATE:
-        raise ValueError(f"not a certificate file: schema {schema!r}")
-    return serialize.certificate_from_obj(envelope["canonical"], family)
-
-
 def cmd_verify(args) -> int:
     family = load_family(args.family)
-    cert = _load_certificate(args.cert, family)
+    with open(args.cert) as handle:
+        cert = serialize.certificate_from_envelope(json.load(handle), family)
     report = verify_certificate(cert, id_budget=args.id_budget)
     suite = None
     if args.samples > 0:
@@ -291,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--depth", type=positive_int, required=True)
-    p.add_argument("--maxlen", type=positive_int, default=12, help="transporter word length")
+    p.add_argument("--maxlen", type=positive_int, default=18,
+                   help="exact transporter word-length cap (default %(default)s)")
     p.add_argument("--rist-maxlen", type=positive_int, default=8)
     p.set_defaults(func=cmd_conjugate)
 

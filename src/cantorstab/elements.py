@@ -11,13 +11,13 @@
   space.
 
 All values are immutable; composition/inversion stay inside one family.
-``g * h`` applies ``h`` first, and ``~g`` is the inverse.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from typing import Protocol
 
 from .space import (
     Alphabet,
@@ -109,6 +109,8 @@ class WreathTable:
         self.entries = dict(entries)
         self.involutive = frozenset(involutive)
         identity = tuple(range(alphabet.size))
+        self._identity_perm = identity
+        self._section_cache: dict = {}
         for name, (perm, sections) in self.entries.items():
             if not GENERATOR_NAME_RE.fullmatch(name) or "@" in name:
                 raise ValueError(f"bad generator name {name!r}")
@@ -117,13 +119,14 @@ class WreathTable:
             if len(sections) != alphabet.size:
                 raise ValueError(f"{name}: expected {alphabet.size} sections")
             for s in sections:
-                if s is not None and s.split("@")[0] not in self.entries:
-                    raise ValueError(f"{name}: unknown section {s!r}")
+                if s is not None:
+                    try:
+                        self.resolve(s)
+                    except KeyError:
+                        raise ValueError(f"{name}: unknown section {s!r}") from None
         for name in self.involutive:
             if name not in self.entries:
                 raise ValueError(f"involutive name {name!r} not in table")
-        self._identity_perm = identity
-        self._section_cache: dict = {}
 
     def resolve(self, name: str) -> tuple[tuple[int, ...], tuple]:
         """Permutation and section names of a (possibly localized) generator."""
@@ -200,43 +203,29 @@ class WreathTable:
         return tuple(out)
 
 
-class GroupElement:
+class GroupElement(Protocol):
     """Common contract: act on words and points, compose, invert, sections."""
 
     alphabet: Alphabet
 
-    def act_word(self, w: Word) -> Word:
-        raise NotImplementedError
+    def act_word(self, w: Word) -> Word: ...
 
-    def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        raise NotImplementedError
+    def act_point(self, x: BoundaryPoint) -> BoundaryPoint: ...
 
-    def section(self, w: Word) -> "GroupElement":
-        raise NotImplementedError
+    def section(self, w: Word) -> "GroupElement": ...
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        raise NotImplementedError
+    def compose(self, other: "GroupElement") -> "GroupElement": ...
 
-    def inverse(self) -> "GroupElement":
-        raise NotImplementedError
+    def inverse(self) -> "GroupElement": ...
 
-    def is_identity(self, budget: int = 512) -> Tri:
-        raise NotImplementedError
+    def is_identity(self, budget: int = 512) -> Tri: ...
 
-    def resolution_depth(self) -> int:
-        raise NotImplementedError
+    def resolution_depth(self) -> int: ...
 
-    def identity_like(self) -> "GroupElement":
-        raise NotImplementedError
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    def __invert__(self):
-        return self.inverse()
+    def identity_like(self) -> "GroupElement": ...
 
 
-class TreeAutomorphism(GroupElement):
+class TreeAutomorphism:
     """Reduced word over a wreath table; depth-preserving on finite words."""
 
     __slots__ = ("table", "word", "alphabet")
@@ -386,7 +375,7 @@ def _validate_code(words, size: int, side: str):
         raise NotBijective(f"{side} code does not cover the space")
 
 
-class PrefixBijection(GroupElement):
+class PrefixBijection:
     """Homeomorphism replacing a prefix ``u_j`` by ``v_j``, tail unchanged.
 
     Both ``{u_j}`` and ``{v_j}`` must be complete prefix codes; validated at
@@ -555,7 +544,7 @@ def odometer_word_image(letters, power: int) -> tuple[int, ...]:
     return _value_word(_word_value(letters) + power, len(letters))
 
 
-class FullGroupTable(GroupElement):
+class FullGroupTable:
     """Piecewise power of the binary odometer.
 
     Rows ``(cylinder, power)`` with the cylinders partitioning the space;

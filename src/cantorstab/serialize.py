@@ -12,8 +12,9 @@ import json
 import os
 import tempfile
 
-from .space import Alphabet, Cylinder, Word, parse_point
+from .space import Alphabet, Cylinder, parse_point
 from .elements import (
+    FamilyMismatch,
     FullGroupTable,
     GroupElement,
     PrefixBijection,
@@ -22,11 +23,10 @@ from .elements import (
     format_generator_word,
     parse_generator_word,
 )
-from .engine import GermReport, GermKind
+from .engine import GermReport, GermKind, GroupFamily
 from .conjugator import (
     BuildBudgets,
     ConjugatorCertificate,
-    Stage,
     SuiteReport,
     VerificationReport,
 )
@@ -34,12 +34,12 @@ from .search import MinimalityWitness, OrbitCertificate
 
 TOOL_TAG = "cantorstab 0.1.0"
 
-SCHEMA_CERTIFICATE = "cantorstab/certificate-v1"
+SCHEMA_CERTIFICATE = "cantorstab/certificate-v2"
+SCHEMA_CERTIFICATE_V1 = "cantorstab/certificate-v1"
 SCHEMA_CLASSIFY = "cantorstab/classify-v1"
 SCHEMA_ORBIT = "cantorstab/orbit-v1"
 SCHEMA_GERMS = "cantorstab/germs-v1"
 SCHEMA_VERIFY = "cantorstab/verify-v1"
-SCHEMA_WITNESS = "cantorstab/witness-v1"
 SCHEMA_RIST = "cantorstab/rist-v1"
 
 
@@ -97,8 +97,9 @@ ELEMENT_SHAPES = {
 
 def _check_shape(obj, shape, path: str) -> None:
     """Raise ValueError naming the first place where the JSON value ``obj``
-    leaves ``shape``: a type, ``{field: shape}`` for an object with exactly
-    these fields, ``[shape]`` for a list of them, ``[shape, shape]`` for a pair."""
+    leaves ``shape``: a type or a union of types (``str | None``),
+    ``{field: shape}`` for an object with exactly these fields, ``[shape]``
+    for a list of them, ``[shape, shape]`` for a pair."""
     if isinstance(shape, dict):
         if not isinstance(obj, dict) or obj.keys() != shape.keys():
             raise ValueError(f"{path} must have exactly the fields {', '.join(shape)}")
@@ -110,7 +111,7 @@ def _check_shape(obj, shape, path: str) -> None:
         for n, item in enumerate(obj):
             _check_shape(item, shape[n] if len(shape) == 2 else shape[0], f"{path}[{n}]")
     elif not isinstance(obj, shape):
-        raise ValueError(f"{path} must be of type {shape.__name__}")
+        raise ValueError(f"{path} must be of type {getattr(shape, '__name__', shape)}")
 
 
 def element_from_obj(obj, table: WreathTable | None = None, alphabet: Alphabet | None = None):
@@ -133,6 +134,58 @@ def family_table(family) -> WreathTable | None:
 
 
 # ---------------------------------------------------------------------------
+# family files
+
+FAMILY_COMMON = {"type": str, "name": str, "alphabet": int, "transporter_margin": int, "generators": dict}
+FAMILY_SHAPES = {
+    "wreath": {**FAMILY_COMMON, "involutive": [str], "public": [str]},
+    "prefix": FAMILY_COMMON,
+    "table": FAMILY_COMMON,
+}
+WREATH_GENERATOR_SHAPE = {"perm": [int], "sections": [str | None]}
+# prefix and table generators are element bodies without their kind
+ELEMENT_BODY_FIELD = {"prefix": "rules", "table": "rows"}
+
+
+def family_from_obj(obj) -> GroupFamily:
+    """A family from its JSON definition; optional fields (``name``,
+    ``alphabet``, ``transporter_margin``, and for wreath families
+    ``involutive`` and ``public``) take their defaults before the shape
+    is checked."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in FAMILY_SHAPES:
+        raise ValueError(f"unknown family type {kind!r}")
+    defaults = {"name": "custom", "alphabet": 2, "transporter_margin": 0}
+    if kind == "wreath":
+        names = obj.get("generators")
+        defaults.update(involutive=[], public=sorted(names) if isinstance(names, dict) else [])
+    obj = {**defaults, **obj}
+    _check_shape(obj, FAMILY_SHAPES[kind], "family")
+    alphabet = Alphabet(obj["alphabet"])
+    if kind == "wreath":
+        entries = {}
+        for name, data in obj["generators"].items():
+            _check_shape(data, WREATH_GENERATOR_SHAPE, f"family.generators.{name}")
+            entries[name] = (tuple(data["perm"]), tuple(data["sections"]))
+        table = WreathTable(alphabet, entries, obj["involutive"])
+        gens = tuple((n, TreeAutomorphism.generator(table, n)) for n in obj["public"])
+    else:
+        field = ELEMENT_BODY_FIELD[kind]
+        gens = tuple(
+            (name, element_from_obj({"kind": kind, field: body}, None, alphabet))
+            for name, body in sorted(obj["generators"].items())
+        )
+    if not gens:
+        raise ValueError("family must have at least one public generator")
+    return GroupFamily(
+        name=obj["name"],
+        alphabet=alphabet,
+        generators=gens,
+        transporter_margin=obj["transporter_margin"],
+    )
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -142,32 +195,22 @@ def certificate_to_obj(cert: ConjugatorCertificate) -> dict:
         "alphabet": cert.alphabet.size,
         "x": str(cert.x),
         "y": str(cert.y),
-        "design_flags": list(cert.design_flags),
         "budgets": cert.budgets.to_obj(),
-        "stages": [
-            {
-                "i": s.index,
-                "d": s.depth,
-                "U": str(s.u.prefix),
-                "V": str(s.v.prefix),
-                "h": element_to_obj(s.h),
-                "g": element_to_obj(s.g),
-            }
-            for s in cert.stages
-        ],
+        "stages": [{"d": s.depth, "h": element_to_obj(s.h)} for s in cert.stages],
     }
 
 
 SEARCH_BUDGET_SHAPE = {"max_word_len": int, "max_states": int}
 CERTIFICATE_SHAPE = {
-    "family": str, "alphabet": int, "x": str, "y": str, "design_flags": [str],
-    "budgets": {"transporter": SEARCH_BUDGET_SHAPE, "rist": SEARCH_BUDGET_SHAPE,
-                "id_budget": int, "retries": int, "retry_step": int},
-    "stages": [{"i": int, "d": int, "U": str, "V": str, "h": dict, "g": dict}],
+    "family": str, "alphabet": int, "x": str, "y": str,
+    "budgets": {"transporter": SEARCH_BUDGET_SHAPE, "rist": SEARCH_BUDGET_SHAPE, "id_budget": int},
+    "stages": [{"d": int, "h": dict}],
 }
 
 
 def certificate_from_obj(obj: dict, family) -> ConjugatorCertificate:
+    """A certificate from its v2 body; every stage is derived from the
+    stored depths and corrections through ``next_stage``."""
     _check_shape(obj, CERTIFICATE_SHAPE, "certificate")
     alphabet = Alphabet(obj["alphabet"])
     if family.name != obj["family"]:
@@ -175,29 +218,56 @@ def certificate_from_obj(obj: dict, family) -> ConjugatorCertificate:
     if not obj["stages"]:
         raise ValueError("certificate stages must be a nonempty list")
     table = family_table(family)
-    stages = []
-    for n, raw in enumerate(obj["stages"]):
-        if raw["i"] != n:
-            raise ValueError(f"certificate stage {n} has index {raw['i']}")
-        stages.append(
-            Stage(
-                index=raw["i"],
-                depth=raw["d"],
-                u=Cylinder(Word.from_string(raw["U"], alphabet)),
-                v=Cylinder(Word.from_string(raw["V"], alphabet)),
-                h=element_from_obj(raw["h"], table, alphabet),
-                g=element_from_obj(raw["g"], table, alphabet),
-            )
+    corrections = [(raw["d"], element_from_obj(raw["h"], table, alphabet)) for raw in obj["stages"]]
+    try:
+        return ConjugatorCertificate.from_corrections(
+            obj["family"],
+            alphabet,
+            parse_point(obj["x"], alphabet),
+            parse_point(obj["y"], alphabet),
+            corrections,
+            BuildBudgets.from_obj(obj["budgets"]),
         )
-    return ConjugatorCertificate(
-        family_name=obj["family"],
-        alphabet=alphabet,
-        x=parse_point(obj["x"], alphabet),
-        y=parse_point(obj["y"], alphabet),
-        stages=tuple(stages),
-        budgets=BuildBudgets.from_obj(obj["budgets"]),
-        design_flags=tuple(obj["design_flags"]),
-    )
+    except FamilyMismatch as exc:
+        raise ValueError(f"certificate corrections do not compose: {exc}") from None
+
+
+CERTIFICATE_V1_SHAPE = {
+    **CERTIFICATE_SHAPE, "design_flags": [str],
+    "budgets": {**CERTIFICATE_SHAPE["budgets"], "retries": int, "retry_step": int},
+    "stages": [{"i": int, "d": int, "U": str, "V": str, "h": dict, "g": dict}],
+}
+
+
+def certificate_from_v1(obj: dict, family) -> ConjugatorCertificate:
+    """A certificate from a v1 body: its transporter cap becomes
+    ``max_word_len + retries * retry_step``, and each stored ``i``, ``U``,
+    ``V`` and ``g`` must equal the value derived from ``d`` and ``h``."""
+    _check_shape(obj, CERTIFICATE_V1_SHAPE, "certificate")
+    budgets = {k: v for k, v in obj["budgets"].items() if k not in ("retries", "retry_step")}
+    cap = budgets["transporter"]["max_word_len"] + obj["budgets"]["retries"] * obj["budgets"]["retry_step"]
+    budgets["transporter"] = {**budgets["transporter"], "max_word_len": cap}
+    body = {key: obj[key] for key in ("family", "alphabet", "x", "y")}
+    body.update(budgets=budgets, stages=[{"d": raw["d"], "h": raw["h"]} for raw in obj["stages"]])
+    cert = certificate_from_obj(body, family)
+    table = family_table(family)
+    for n, (raw, stage) in enumerate(zip(obj["stages"], cert.stages)):
+        derived = {"i": stage.index, "U": str(stage.u.prefix), "V": str(stage.v.prefix), "g": stage.g}
+        stored = {**raw, "g": element_from_obj(raw["g"], table, cert.alphabet)}
+        for key, value in derived.items():
+            if stored[key] != value:
+                raise ValueError(f"certificate-v1 stage {n}: stored {key} differs from the one derived from d and h")
+    return cert
+
+
+def certificate_from_envelope(envelope, family) -> ConjugatorCertificate:
+    """A certificate from a v2 or a v1 envelope."""
+    schema = envelope.get("schema") if isinstance(envelope, dict) else None
+    if schema == SCHEMA_CERTIFICATE:
+        return certificate_from_obj(envelope["canonical"], family)
+    if schema == SCHEMA_CERTIFICATE_V1:
+        return certificate_from_v1(envelope["canonical"], family)
+    raise ValueError(f"not a certificate file: schema {schema!r}")
 
 
 # ---------------------------------------------------------------------------

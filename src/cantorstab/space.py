@@ -74,10 +74,6 @@ class Word:
         self.alphabet.check(other.alphabet)
         return Word(self.letters + other.letters, self.alphabet)
 
-    def is_prefix_of(self, other: "Word") -> bool:
-        self.alphabet.check(other.alphabet)
-        return other.letters[: len(self.letters)] == self.letters
-
     def __str__(self) -> str:
         return "".join(str(a) for a in self.letters)
 
@@ -162,11 +158,6 @@ class BoundaryPoint:
             pre, per = pre[:-1], per[-1:] + per[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-
-    @classmethod
-    def from_words(cls, preperiod: Word, period: Word) -> "BoundaryPoint":
-        preperiod.alphabet.check(period.alphabet)
-        return cls(preperiod.letters, period.letters, preperiod.alphabet)
 
     def letter_at(self, n: int) -> int:
         if n < len(self.preperiod):

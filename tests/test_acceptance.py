@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
-import dataclasses
 import random
 import time
 
@@ -12,12 +11,10 @@ import pytest
 
 from cantorstab import (
     BoundaryPoint,
-    Cylinder,
     DepthSchedule,
     GermKind,
     PointClass,
     Tri,
-    Word,
     build_conjugator,
     classify_point,
     conjugation_suite,
@@ -37,7 +34,7 @@ from cantorstab.engine import reduced_generator_words
 from cantorstab import serialize
 
 from cantorstab.conjugator import rist_samples
-from conftest import grig_word
+from conftest import grig_word, mutate
 
 pt = parse_point
 
@@ -170,22 +167,7 @@ def test_criterion_7_mutation_detection(grig, grig_cert):
     rng = random.Random(7777)
     detected = 0
     for _ in range(20):
-        stages = list(grig_cert.stages)
-        i = rng.randrange(1, len(stages))
-        stage = stages[i]
-        kind = rng.choice(("g", "u", "v"))
-        if kind == "g":
-            name, gen = grig.generators[rng.randrange(len(grig.generators))]
-            stage = dataclasses.replace(stage, g=stage.g.compose(gen))
-        else:
-            target = stage.u if kind == "u" else stage.v
-            letters = list(target.prefix.letters)
-            j = rng.randrange(len(letters))
-            letters[j] = 1 - letters[j]
-            cyl = Cylinder(Word(tuple(letters)))
-            stage = dataclasses.replace(stage, **{kind: cyl})
-        stages[i] = stage
-        bad = dataclasses.replace(grig_cert, stages=tuple(stages))
+        bad, _ = mutate(grig_cert, rng, grig)
         if not verify_certificate(bad).ok:
             detected += 1
     assert detected == 20

@@ -6,6 +6,7 @@ import pytest
 
 from cantorstab import DepthSchedule, build_conjugator, parse_point, verify_certificate
 from cantorstab import serialize
+from test_golden import GOLDEN
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -110,7 +111,7 @@ def test_verify_corrupted_certificate_exit_1(tmp_path):
         "--x", "(0)", "--y", "(01)", "--depth", "5", "--out", str(cert_path),
     )
     envelope = json.loads(cert_path.read_text())
-    envelope["canonical"]["stages"][3]["g"]["word"] += "*a"
+    envelope["canonical"]["stages"][3]["h"]["word"] += "*a"
     cert_path.write_text(json.dumps(envelope))
     proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
     assert proc.returncode == 1
@@ -148,12 +149,16 @@ def small_certificate(tmp_path_factory):
     (("canonical", "stages", 1, "h"), {"kind": "prefix", "rules": 5}),
     (("canonical",), []),
     (("canonical", "stages", 1, "i"), 7),
+    (("canonical", "stages", 1, "g"), {"kind": "word", "word": "b"}),
     # a localized path digit outside the binary alphabet
     (("canonical", "stages", 1, "h", "word"), "k1@0123"),
+    # a correction from another family
+    (("canonical", "stages", 2, "h"), {"kind": "table", "rows": [["", 1]]}),
 ], ids=[
     "stages-int", "h-null", "stages-empty", "alphabet-str", "budgets-int",
     "transporter-extra-key", "design-flags-int", "x-int", "h-word-int",
-    "h-rules-int", "canonical-list", "stage-index", "path-digit-outside-alphabet",
+    "h-rules-int", "canonical-list", "stage-index", "stage-extra-g",
+    "path-digit-outside-alphabet", "h-other-family",
 ])
 def test_verify_malformed_certificate_exit_2(tmp_path, small_certificate, path, value):
     envelope = json.loads(small_certificate)
@@ -166,6 +171,17 @@ def test_verify_malformed_certificate_exit_2(tmp_path, small_certificate, path, 
     proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_verify_v1_certificate_with_stale_g_exit_2(tmp_path):
+    # the stored g_3 of a v1 file must be h_3 g_2
+    body = json.loads((GOLDEN / "v1" / "conjugate-grigorchuk.json").read_text())
+    body["stages"][3]["g"]["word"] += "*a"
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"schema": "cantorstab/certificate-v1", "canonical": body}))
+    proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.splitlines() == ["error: certificate-v1 stage 3: stored g differs from the one derived from d and h"]
 
 
 def test_verify_samples_family_without_rigid_stabilisers(tmp_path):
@@ -276,6 +292,25 @@ def test_custom_wreath_family_file(tmp_path):
     family_path.write_text(json.dumps(ODO_WREATH))
     proc = run_cli("orbit", "--family", str(family_path), "--seed", "00", "--depth", "2")
     assert proc.returncode == 0 and "4 cylinders" in proc.stdout
+
+
+@pytest.mark.parametrize("family", [
+    {"type": "prefix", "name": "p", "generators": 5},
+    {**ODO_WREATH, "alphabet": "2"},
+    {**ODO_WREATH, "generators": {"t": {"perm": "10", "sections": [None, "t"]}}},
+    {**ODO_WREATH, "transporter_margin": [1]},
+    # t@2 leaves the binary alphabet, in a section that neither the depth-1
+    # orbit nor the involution test of s reads
+    {**ODO_WREATH, "generators": {**ODO_WREATH["generators"],
+                                  "s": {"perm": [0, 1], "sections": ["t@2", "t"]}},
+     "public": ["t", "s"]},
+], ids=["generators-int", "alphabet-str", "perm-str", "margin-list", "section-path-digit"])
+def test_malformed_family_file_exit_2(tmp_path, family):
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(family))
+    proc = run_cli("orbit", "--family", str(family_path), "--seed", "0", "--depth", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 def test_orbit_strict_budget_exit_4():

@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import random
 
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from cantorstab import (
     BoundaryPoint,
     BuildBudgets,
-    Cylinder,
     DepthSchedule,
     NotInNeighbourhoodStabiliser,
     SearchBudget,
     Tri,
-    Word,
     build_conjugator,
     conjugate_element,
     conjugation_suite,
@@ -24,8 +22,10 @@ from cantorstab import (
     verify_certificate,
 )
 
+from cantorstab import serialize
 from cantorstab.conjugator import rist_samples
-from conftest import grig_gen, grig_word
+from conftest import grig_gen, grig_word, mutate, with_corrections
+from test_golden import GOLDEN
 
 pt = parse_point
 
@@ -66,11 +66,6 @@ def test_odometer_build_and_verify(odometer_cert):
     assert verify_certificate(odometer_cert).ok
 
 
-def test_certificate_flags(grig_cert):
-    assert "W_equals_V" in grig_cert.design_flags
-    assert "target_margin=1" in grig_cert.design_flags
-
-
 # -- verification -------------------------------------------------------------
 
 
@@ -92,92 +87,59 @@ def test_deep_certificate_builds_and_verifies(family, x, y, depth):
     assert report.ok, report.failures()
 
 
-def test_retries_extend_the_transporter_word_cap(grig):
-    # one search with cap max_word_len + retries * retry_step
+def test_transporter_word_cap_is_exact(grig):
     from cantorstab import ConjugatorBuildError
 
-    def build(max_word_len, retries):
-        budgets = BuildBudgets(
-            transporter=SearchBudget(max_word_len, 20000), retries=retries, retry_step=1
-        )
+    def build(max_word_len):
+        budgets = BuildBudgets(transporter=SearchBudget(max_word_len, 20000))
         return build_conjugator(grig, pt("(0)"), pt("11(0)"), DepthSchedule.unit_steps(4), budgets)
 
     with pytest.raises(ConjugatorBuildError, match="no product of length <= 1 reaches"):
-        build(1, 0)
-    assert build(1, 2).stages == build(3, 0).stages
+        build(1)
+    assert build(3).stages == build(18).stages
+
+
+def test_verify_detects_h_not_in_chain(grig):
+    # k2@V_2 lies in rist(V_2), so in a v1 file only the stored g_3, which
+    # is no longer h_3 g_2, shows the change; the v1 reader rejects it
+    body = json.loads((GOLDEN / "v1" / "conjugate-grigorchuk.json").read_text())
+    body["stages"][3]["h"] = {"kind": "word", "word": f"k2@{body['stages'][2]['V']}"}
+    with pytest.raises(ValueError, match="stage 3: stored g differs"):
+        serialize.certificate_from_v1(body, grig)
 
 
 def test_verify_detects_composed_generator(grig, grig_cert):
-    # replace g_2 by g_2 * a: the root swap breaks agreement outside U_1
-    bad_stage = dataclasses.replace(
-        grig_cert.stages[2], g=grig_cert.stages[2].g.compose(grig.generator("a"))
-    )
-    stages = list(grig_cert.stages)
-    stages[2] = bad_stage
-    bad = dataclasses.replace(grig_cert, stages=tuple(stages))
-    report = verify_certificate(bad)
+    # replace h_2 by h_2 * a: the root swap breaks agreement outside U_1
+    corrections = [(s.depth, s.h) for s in grig_cert.stages]
+    corrections[2] = (2, corrections[2][1].compose(grig.generator("a")))
+    report = verify_certificate(with_corrections(grig_cert, corrections))
     assert not report.ok
-    assert any(r.condition in ("image", "agreement", "convergence") for r in report.failures())
-
-
-def replace_stage(cert, i, **fields):
-    stages = list(cert.stages)
-    stages[i] = dataclasses.replace(stages[i], **fields)
-    return dataclasses.replace(cert, stages=tuple(stages))
+    assert any(r.condition in ("rist", "agreement", "convergence") for r in report.failures())
 
 
 def statuses(report, stage):
     return {r.condition: r.status for r in report.results if r.stage == stage}
 
 
-def test_verify_detects_h_not_in_chain(grig):
-    # k2@V_2 lies in rist(V_2), so only the chain g_3 = h_3 g_2 catches it
-    cert = build_conjugator(grig, pt("(0)"), pt("(01)"), DepthSchedule.unit_steps(6))
-    v2 = str(cert.stages[2].v.prefix)
-    bad = replace_stage(cert, 3, h=grig_gen(f"k2@{v2}"))
-    found = statuses(verify_certificate(bad), 3)
-    assert found["rist"] == "PASS"
-    assert found["chain"] == "FAIL"
-
-
 def test_verify_detects_change_below_depth_outside_u(grig, grig_cert):
-    # k1@10 fixes every word of length 3, so g_3 keeps its words at depth
-    # d_3 = 3, but it differs from g_2 below [10], which is disjoint from U_2
+    # h_3 * g_2 * k1@10 * g_2^-1 derives g_3 * k1@10; k1@10 fixes every word
+    # of length 3, so g_3 keeps its words at depth d_3 = 3, but it differs
+    # from g_2 below [10], which is disjoint from U_2
     assert grig_cert.stages[2].u.prefix.letters == (0, 0)
-    stage = grig_cert.stages[3]
-    bad = replace_stage(grig_cert, 3, g=stage.g.compose(grig_gen("k1@10")))
+    g2 = grig_cert.stages[2].g
+    corrections = [(s.depth, s.h) for s in grig_cert.stages]
+    h3 = corrections[3][1].compose(g2).compose(grig_gen("k1@10")).compose(g2.inverse())
+    corrections[3] = (3, h3)
+    bad = with_corrections(grig_cert, corrections)
+    assert bad.stages[3].g == grig_cert.stages[3].g.compose(grig_gen("k1@10"))
     found = statuses(verify_certificate(bad), 3)
-    assert found["image"] == "PASS"
+    assert found["depth"] == found["y-in-V"] == found["convergence"] == "PASS"
     assert found["agreement"] == "FAIL"
 
 
 def test_verify_zero_stage_certificate(grig):
     cert = build_conjugator(grig, pt("(1)"), pt("(1)"), DepthSchedule((1,)))
     assert verify_certificate(cert).ok
-
-
-def mutate(cert, rng, family):
-    """One random single-stage corruption: compose a generator into g_i or
-    flip a letter of U_i / V_i."""
-    stages = list(cert.stages)
-    i = rng.randrange(1, len(stages))
-    stage = stages[i]
-    kind = rng.choice(("g", "u", "v"))
-    if kind == "g":
-        name, gen = family.generators[rng.randrange(len(family.generators))]
-        stage = dataclasses.replace(stage, g=stage.g.compose(gen))
-    elif kind == "u":
-        letters = list(stage.u.prefix.letters)
-        j = rng.randrange(len(letters))
-        letters[j] = 1 - letters[j]
-        stage = dataclasses.replace(stage, u=Cylinder(Word(tuple(letters))))
-    else:
-        letters = list(stage.v.prefix.letters)
-        j = rng.randrange(len(letters))
-        letters[j] = 1 - letters[j]
-        stage = dataclasses.replace(stage, v=Cylinder(Word(tuple(letters))))
-    stages[i] = stage
-    return dataclasses.replace(cert, stages=tuple(stages)), (i, kind)
 
 
 def test_mutation_detection(grig, grig_cert):
@@ -326,10 +288,8 @@ def test_builder_unreachable_target_reports_stage(grig):
         transporter_margin=1,
     )
     budgets = BuildBudgets(
-        transporter=SearchBudget(max_word_len=4, max_states=500),
+        transporter=SearchBudget(max_word_len=5, max_states=500),
         rist=SearchBudget(max_word_len=3, max_states=500),
-        retries=1,
-        retry_step=1,
     )
     with pytest.raises(ConjugatorBuildError) as info:
         build_conjugator(crippled, pt("(0)"), pt("(1)"), DepthSchedule.unit_steps(4),

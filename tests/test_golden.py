@@ -1,7 +1,8 @@
 """Canonical report bodies pinned byte for byte.
 
 Each file under ``tests/golden/`` holds the canonical body (``canonical_dumps``
-plus a newline) of one CLI run in ``--format json``.  A refactor that keeps
+plus a newline) of one CLI run in ``--format json``; ``tests/golden/v1/``
+holds the conjugate bodies as ``certificate-v1`` wrote them.  A refactor that keeps
 behaviour keeps these bytes; a change that alters a report on purpose
 replaces the file and says why.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorstab import cli, serialize
+from cantorstab import cli, presets, serialize
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,3 +51,18 @@ def test_golden_verify_body(tmp_path):
         assert cli.main(CASES["conjugate-grigorchuk"] + ["--out", str(cert_path)]) == 0
     argv = ["verify", "--family", "grigorchuk", "--cert", str(cert_path), "--samples", "4"]
     assert canonical_body(argv) == (GOLDEN / "verify.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATE))
+def test_v1_certificate_loads_and_verifies(tmp_path, name):
+    # v1 bodies pinned before certificate-v2; each reads as today's v2 body
+    body = json.loads((GOLDEN / "v1" / f"{name}.json").read_text())
+    family = CONJUGATE[name][1]
+    envelope = {"schema": serialize.SCHEMA_CERTIFICATE_V1, "canonical": body}
+    cert = serialize.certificate_from_envelope(envelope, presets.load_preset(family))
+    v2 = serialize.canonical_dumps(serialize.certificate_to_obj(cert)) + "\n"
+    assert v2 == (GOLDEN / f"{name}.json").read_text()
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(envelope))
+    argv = ["verify", "--family", family, "--cert", str(cert_path)]
+    assert json.loads(canonical_body(argv))["ok"]
