@@ -9,39 +9,17 @@ import pathlib
 import time
 
 from cantorstab import (
-    Cylinder,
     DepthSchedule,
-    EmptyRist,
-    Word,
     build_conjugator,
     conjugation_suite,
     eval_limit,
     grigorchuk,
     odometer_full,
     parse_point,
-    rist_generators,
     verify_certificate,
 )
-from cantorstab import serialize
-
-
-def samples_off_u1(family, cert, count):
-    u1 = cert.stages[1].u
-    alphabet = family.alphabet
-    out = []
-    stems = [(a,) for a in alphabet.letters() if (a,) != u1.prefix.letters]
-    while stems and len(out) < count:
-        nxt = []
-        for stem in stems:
-            try:
-                out.extend(rist_generators(family, Cylinder(Word(stem, alphabet))))
-            except EmptyRist:
-                pass
-            nxt.extend(stem + (a,) for a in alphabet.letters())
-        stems = nxt
-        if stems and len(stems[0]) > 6:
-            break
-    return out[:count]
+from cantorstab.cli import write_certificate
+from cantorstab.conjugator import rist_samples
 
 
 def show(cert, family, samples):
@@ -78,16 +56,11 @@ def main():
         cert = build_conjugator(
             family, parse_point(x_text), parse_point(y_text), DepthSchedule.unit_steps(depth)
         )
-        show(cert, family, samples_off_u1(family, cert, 20))
+        show(cert, family, rist_samples(family, cert, 20))
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             path = args.out / f"{family.name}-{depth}.json"
-            serialize.atomic_write(
-                str(path),
-                serialize.dumps_envelope(
-                    serialize.SCHEMA_CERTIFICATE, serialize.certificate_to_obj(cert)
-                ) + "\n",
-            )
+            write_certificate(str(path), cert)
             print(f"  written: {path}")
 
 

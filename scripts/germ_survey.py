@@ -21,18 +21,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--family", default="grigorchuk")
     parser.add_argument("--maxlen", type=int, default=4)
-    parser.add_argument("--max-depth", type=int, default=20)
     args = parser.parse_args()
 
     family = load_preset(args.family)
-    print(f"family: {family.name}, words <= {args.maxlen}, depth <= {args.max_depth}")
+    print(f"family: {family.name}, words <= {args.maxlen}")
     print(f"{'point':>10}  {'rule':>9}  {'classes':>7}  representatives")
     for text in POINTS:
         point = parse_point(text, family.alphabet)
         rule = classify_point(family, point).value
-        report = germ_classes(
-            family, point, max_word_len=args.maxlen, max_depth=args.max_depth
-        )
+        report = germ_classes(family, point, max_word_len=args.maxlen)
         reps = ", ".join(_word_text(c.representative_word) for c in report.classes)
         print(f"{str(point):>10}  {rule:>9}  {report.lower_bound:>7}  {reps}")
 

@@ -16,10 +16,10 @@ Input grammar
              pairs ``[["10","01"], ...]``, full-group tables JSON row pairs
              ``[["cylinder", power], ...]``.
 
-Budgets (``--id-budget``, ``--max-depth``, ``--maxlen``, ``--rist-maxlen``,
-``--max-states``) and ``conjugate --depth`` must be at least 1; ``orbit
---maxlen 0`` means no cap.  ``conjugate --maxlen`` is the exact word-length
-cap of each stage's transporter search.
+Budgets (``--id-budget``, ``--maxlen``, ``--rist-maxlen``, ``--max-states``)
+and ``conjugate --depth`` must be at least 1; ``orbit --maxlen 0`` means no
+cap.  ``conjugate --maxlen`` is the exact word-length cap of each stage's
+transporter search.  Germ verdicts need no depth bound.
 
 Certificates are written as ``cantorstab/certificate-v2``, which stores
 each stage's depth and correction only; ``verify`` also reads
@@ -29,6 +29,7 @@ each stage's depth and correction only; ``verify`` also reads
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,7 +38,6 @@ from .space import Cylinder, DepthSchedule, Word, parse_point
 from .engine import (
     DEFAULT_ENUM_MAXLEN,
     DEFAULT_ID_BUDGET,
-    DEFAULT_MAX_DEPTH,
     GroupFamily,
     classify_point,
     germ_classes,
@@ -103,7 +103,7 @@ def write_certificate(path: str, cert) -> None:
 
 
 def _germ_report(family, point, args):
-    return germ_classes(family, point, args.maxlen, args.max_depth, args.id_budget)
+    return germ_classes(family, point, args.maxlen, args.id_budget)
 
 
 def cmd_classify(args) -> int:
@@ -116,7 +116,7 @@ def cmd_classify(args) -> int:
         report = _germ_report(family, point, args)
         body["germs"] = serialize.germs_to_obj(report)
         lines.append(
-            f"germ classes (words <= {report.max_word_len}, depth <= {report.max_depth}): "
+            f"germ classes (words <= {report.max_word_len}): "
             f"lower bound {report.lower_bound}"
         )
         for cls in report.classes:
@@ -222,7 +222,10 @@ def cmd_germs(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="cantorstab",
         description="Stabiliser, germ, and conjugator computations on the space of infinite words",
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--germs", action="store_true", help="attach germ-class evidence")
     p.add_argument("--maxlen", type=positive_int, default=4)
-    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conjugate", help="build a conjugator certificate x -> y")
@@ -286,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--point", required=True)
     p.add_argument("--maxlen", type=positive_int, default=DEFAULT_ENUM_MAXLEN)
-    p.add_argument("--max-depth", type=positive_int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_germs)
 
     return parser

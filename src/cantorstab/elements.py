@@ -322,31 +322,36 @@ class TreeAutomorphism:
 
 
 def _transduce(step, state, x: BoundaryPoint) -> BoundaryPoint:
-    """Exact image of an eventually periodic point under a transducer.
+    """Exact image of an eventually periodic point under a transducer: the
+    output letters of one cycle of ``_run_to_cycle`` form the image period."""
+    out, start = _run_to_cycle(step, state, x)
+    return BoundaryPoint(tuple(out[:start]), tuple(out[start:]), x.alphabet)
 
-    ``step(state, letter)`` returns ``(output letter, next state)``; states
-    must be hashable.  Once inside the periodic part of ``x``, the
-    (state, phase) pair must repeat, and the output letters between the two
-    occurrences form the image period.
+
+def _run_to_cycle(step, state, x: BoundaryPoint, n: int = 0) -> tuple[list, int]:
+    """Run a transducer along ``x`` from position ``n`` until it cycles.
+
+    ``step(state, letter)`` returns ``(output, next state)``; states must be
+    hashable.  Once inside the periodic part of ``x``, the (state, phase)
+    pair must repeat, and from then on the outputs repeat too.  Returns the
+    outputs up to the repeat and the index of the first output of the cycle.
     """
     pre_len = len(x.preperiod)
     per_len = len(x.period)
-    out: list[int] = []
+    out: list = []
     seen: dict = {}
-    n = 0
     while True:
         if n >= pre_len:
             key = (state, (n - pre_len) % per_len)
             if key in seen:
-                start = seen[key]
-                return BoundaryPoint(tuple(out[:start]), tuple(out[start:]), x.alphabet)
+                return out, seen[key]
             if len(seen) >= ACT_POINT_STATE_BUDGET:
                 raise NoCycleWithinBound(
                     f"no closing state within {ACT_POINT_STATE_BUDGET} steps"
                 )
-            seen[key] = n
-        letter, state = step(state, x.letter_at(n))
-        out.append(letter)
+            seen[key] = len(out)
+        output, state = step(state, x.letter_at(n))
+        out.append(output)
         n += 1
 
 

@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .space import Alphabet, BoundaryPoint, Cylinder, Word, complement
-from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri, UnresolvedWord, tri_all
+from .elements import (
+    GroupElement,
+    NoCycleWithinBound,
+    TablePowerExceeded,
+    Tri,
+    UnresolvedWord,
+    _run_to_cycle,
+    tri_all,
+)
 
-DEFAULT_MAX_DEPTH = 30
 DEFAULT_ID_BUDGET = 512
 DEFAULT_ENUM_MAXLEN = 8
 INVOLUTION_BUDGET = 64
@@ -120,13 +127,15 @@ def in_rigid_stabiliser(g: GroupElement, u: Cylinder, budget: int = DEFAULT_ID_B
 
 class GermKind(Enum):
     TRIVIAL = "trivial"
-    NONTRIVIAL_UP_TO = "nontrivial_up_to"
+    NONTRIVIAL = "nontrivial"
     NOT_IN_STABILISER = "not_in_stabiliser"
     UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class GermVerdict:
+    """``depth`` is the least witness depth of a TRIVIAL verdict."""
+
     kind: GermKind
     depth: int | None = None
 
@@ -137,32 +146,49 @@ class GermVerdict:
 
 
 def in_neighbourhood_stabiliser(
-    g: GroupElement,
-    x: BoundaryPoint,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    budget: int = DEFAULT_ID_BUDGET,
+    g: GroupElement, x: BoundaryPoint, budget: int = DEFAULT_ID_BUDGET
 ) -> GermVerdict:
     """Least-depth witness that g fixes a cylinder around x pointwise.
 
-    TRIVIAL(n) carries the witness depth; NONTRIVIAL_UP_TO(max_depth) means
-    g stabilises x but every depth up to the bound definitely fails, which
-    leaves merging at a greater depth open.
+    Below g's resolution depth r each depth is tested on its own.  From
+    depth n = max(r, 1) on, g (which fixes x) fixes the depth-n cylinder
+    pointwise iff it fixes x_1..x_n and its section there is the identity,
+    so one walk along x visits these sections until (section, phase of x)
+    repeats.  The walk closes in every family: sections of a tree
+    automorphism are reduced words no longer than g, those of a prefix
+    bijection are the identity, and those of a table are odometer powers
+    whose carry stays bounded.  TRIVIAL(n) carries the least depth,
+    NONTRIVIAL means no depth at all works, and UNKNOWN means a budget ran
+    out.
     """
     st = stabilises(g, x)
     if st is Tri.NO:
         return GermVerdict(GermKind.NOT_IN_STABILISER)
     if st is Tri.UNKNOWN:
         return GermVerdict(GermKind.UNKNOWN)
-    saw_unknown = False
-    for n in range(1, max_depth + 1):
-        verdict = fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget)
-        if verdict is Tri.YES:
+    start = max(g.resolution_depth(), 1)
+    verdicts = []  # verdicts[n - 1] is the verdict at depth n
+    for n in range(1, start):
+        verdicts.append(fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget))
+        if verdicts[-1] is Tri.YES:
             return GermVerdict(GermKind.TRIVIAL, n)
-        if verdict is Tri.UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return GermVerdict(GermKind.UNKNOWN)
-    return GermVerdict(GermKind.NONTRIVIAL_UP_TO, max_depth)
+    prefix = x.prefix(start)
+    # only a prefix rule u -> v with u != v fails here, and then at every depth
+    if g.act_word(prefix) == prefix:
+        checked: dict = {}  # one identity test per distinct section
+
+        def step(section, letter):
+            if section not in checked:
+                checked[section] = section.is_identity(budget)
+            return checked[section], section.section(Word((letter,), x.alphabet))
+
+        try:
+            verdicts += _run_to_cycle(step, g.section(prefix), x, start)[0]
+        except NoCycleWithinBound:
+            verdicts.append(Tri.UNKNOWN)
+    if Tri.YES in verdicts:
+        return GermVerdict(GermKind.TRIVIAL, verdicts.index(Tri.YES) + 1)
+    return GermVerdict(GermKind.UNKNOWN if Tri.UNKNOWN in verdicts else GermKind.NONTRIVIAL)
 
 
 def reduced_generator_words(family: GroupFamily, max_len: int):
@@ -207,7 +233,6 @@ class GermReport:
     classes: tuple[GermClass, ...]
     lower_bound: int
     max_word_len: int
-    max_depth: int
     separations: tuple  # ((i, j, verdict), ...) for class pairs
 
 
@@ -215,7 +240,6 @@ def germ_classes(
     family: GroupFamily,
     x: BoundaryPoint,
     max_word_len: int = DEFAULT_ENUM_MAXLEN,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     budget: int = DEFAULT_ID_BUDGET,
 ) -> GermReport:
     """Partition enumerated stabiliser words by triviality of quotients.
@@ -223,7 +247,7 @@ def germ_classes(
     Words g, h fall in one class when ``g h^-1`` fixes a cylinder around x
     pointwise.  The class count is a lower bound for the germ group order:
     classes separated only by UNKNOWN verdicts are flagged provisional, and
-    any NONTRIVIAL_UP_TO separation is a certificate only up to its depth.
+    every other separation is an exact NONTRIVIAL verdict.
     """
     reps: list[list] = []  # [rep_word, rep_elem, members]
     separations: dict = {}
@@ -234,7 +258,7 @@ def germ_classes(
         quotient_verdicts = []
         for rep in reps:
             verdict = in_neighbourhood_stabiliser(
-                elem.compose(rep[1].inverse()), x, max_depth, budget
+                elem.compose(rep[1].inverse()), x, budget
             )
             if verdict.kind is GermKind.TRIVIAL:
                 rep[2].append(word)
@@ -248,7 +272,7 @@ def germ_classes(
             reps.append([word, elem, [word]])
     classes = []
     for idx, (word, elem, members) in enumerate(reps):
-        own = in_neighbourhood_stabiliser(elem, x, max_depth, budget)
+        own = in_neighbourhood_stabiliser(elem, x, budget)
         provisional = any(
             v.kind is GermKind.UNKNOWN
             for (i, j), v in separations.items()
@@ -260,7 +284,6 @@ def germ_classes(
         classes=tuple(classes),
         lower_bound=len(classes),
         max_word_len=max_word_len,
-        max_depth=max_depth,
         separations=tuple(sorted((i, j, v) for (i, j), v in separations.items())),
     )
 

@@ -23,7 +23,7 @@ from .elements import (
     format_generator_word,
     parse_generator_word,
 )
-from .engine import GermReport, GermKind, GroupFamily
+from .engine import GermReport, GroupFamily
 from .conjugator import (
     BuildBudgets,
     ConjugatorCertificate,
@@ -310,10 +310,7 @@ def witness_to_obj(witness: MinimalityWitness) -> dict:
 def germ_verdict_to_obj(verdict) -> dict:
     out = {"kind": verdict.kind.value}
     if verdict.depth is not None:
-        if verdict.kind is GermKind.TRIVIAL:
-            out["witness_depth"] = verdict.depth
-        else:
-            out["depth"] = verdict.depth
+        out["witness_depth"] = verdict.depth
     return out
 
 
@@ -321,7 +318,6 @@ def germs_to_obj(report: GermReport) -> dict:
     return {
         "point": str(report.point),
         "max_word_len": report.max_word_len,
-        "max_depth": report.max_depth,
         "lower_bound": report.lower_bound,
         "classes": [
             {

@@ -257,12 +257,11 @@ def test_byte_identical_output(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("germs", "--family", "grigorchuk", "--point", "(1)", "--id-budget", "0"),
-    ("germs", "--family", "grigorchuk", "--point", "(1)", "--max-depth", "0"),
     ("classify", "--family", "grigorchuk", "--point", "(1)", "--germs", "--maxlen", "-1"),
     ("conjugate", "--family", "grigorchuk", "--x", "(0)", "--y", "(01)", "--depth", "2",
      "--rist-maxlen", "0"),
     ("rist", "--family", "grigorchuk", "--cylinder", "1", "--max-states", "0"),
-], ids=["id-budget", "max-depth", "maxlen", "rist-maxlen", "max-states"])
+], ids=["id-budget", "maxlen", "rist-maxlen", "max-states"])
 def test_budget_below_one_exit_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2

@@ -5,6 +5,7 @@ from cantorstab import (
     Cylinder,
     FullGroupTable,
     GermKind,
+    GermVerdict,
     PointClass,
     Tri,
     Word,
@@ -21,7 +22,7 @@ from cantorstab.elements import tri_all
 from cantorstab.engine import DEFAULT_ID_BUDGET, generator_moves, reduced_generator_words
 from cantorstab.presets import PRESETS
 
-from conftest import grig_word
+from conftest import grig_gen, grig_word
 
 cyl = Cylinder.from_string
 pt = parse_point
@@ -73,10 +74,12 @@ def test_rigid_stabiliser_examples(grig):
     assert in_rigid_stabiliser(grig.identity, cyl("01"), 1) is Tri.YES
 
 
-# -- definitional reference ------------------------------------------------
+# -- definitional references -----------------------------------------------
 # Rigid-stabiliser membership spelt out: every depth-d cylinder other than
 # u, each refined down to the element's resolution depth.  It costs |X|^d,
-# so it only cross-checks the sibling-complement test.
+# so it only cross-checks the sibling-complement test.  Neighbourhood-
+# stabiliser membership spelt out: each depth up to a cap tested from the
+# root, which only cross-checks the walk along x.
 
 
 def reference_fixes_cylinder_pointwise(g, c, budget=DEFAULT_ID_BUDGET):
@@ -99,6 +102,22 @@ def reference_in_rigid_stabiliser(g, u, budget=DEFAULT_ID_BUDGET):
         for c in cylinders_at_depth(u.alphabet, u.depth)
         if c != u
     )
+
+
+def reference_in_neighbourhood_stabiliser(g, x, max_depth, budget=DEFAULT_ID_BUDGET):
+    """TRIVIAL(n) for the least n <= max_depth whose cylinder g fixes
+    pointwise; NONTRIVIAL(max_depth) when every depth up to the cap
+    definitely fails, which says nothing of deeper ones."""
+    st = stabilises(g, x)
+    if st is not Tri.YES:
+        return GermVerdict(GermKind.NOT_IN_STABILISER if st is Tri.NO else GermKind.UNKNOWN)
+    saw_unknown = False
+    for n in range(1, max_depth + 1):
+        verdict = reference_fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget)
+        if verdict is Tri.YES:
+            return GermVerdict(GermKind.TRIVIAL, n)
+        saw_unknown |= verdict is Tri.UNKNOWN
+    return GermVerdict(GermKind.UNKNOWN if saw_unknown else GermKind.NONTRIVIAL, max_depth)
 
 
 FAMILIES = {name: load() for name, load in PRESETS.items()}
@@ -138,24 +157,62 @@ def test_rist_tight_budget_may_leave_unknown(grig):
 
 
 def test_nbhd_d_trivial_at_zero_ray(grig):
-    verdict = in_neighbourhood_stabiliser(grig.generator("d"), pt("(0)"), 5, 64)
+    verdict = in_neighbourhood_stabiliser(grig.generator("d"), pt("(0)"), 64)
     assert verdict.kind is GermKind.TRIVIAL and verdict.depth == 1
 
 
 def test_nbhd_b_nontrivial_on_ones(grig):
-    verdict = in_neighbourhood_stabiliser(grig.generator("b"), pt("(1)"), 20, 256)
-    assert verdict.kind is GermKind.NONTRIVIAL_UP_TO and verdict.depth == 20
+    verdict = in_neighbourhood_stabiliser(grig.generator("b"), pt("(1)"), 256)
+    assert verdict.kind is GermKind.NONTRIVIAL and verdict.depth is None
 
 
 def test_nbhd_a_not_in_stabiliser(grig):
-    verdict = in_neighbourhood_stabiliser(grig.generator("a"), pt("(1)"), 5, 64)
+    verdict = in_neighbourhood_stabiliser(grig.generator("a"), pt("(1)"), 64)
     assert verdict.kind is GermKind.NOT_IN_STABILISER
+
+
+GERM_POINTS = ("(1)", "0(1)", "(0)", "(01)", "1(0)")
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.sampled_from(GERM_POINTS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_nbhd_walk_matches_reference(name, point, data):
+    family = FAMILIES[name]
+    moves = [g for _, g in family.moves()]
+    g = family.identity
+    for i in data.draw(st.lists(st.integers(0, len(moves) - 1), max_size=6)):
+        g = g.compose(moves[i])
+    x = pt(point)
+    walk = in_neighbourhood_stabiliser(g, x)
+    reference = reference_in_neighbourhood_stabiliser(g, x, 40)
+    assert walk.kind is not GermKind.UNKNOWN
+    if walk.kind is GermKind.NONTRIVIAL:
+        assert reference == GermVerdict(GermKind.NONTRIVIAL, 40)
+    else:
+        assert walk == reference
+    # a tight budget may leave the walk UNKNOWN, or find a deeper witness
+    # than the least one, never contradict the default budget
+    for budget in (1, 4):
+        tight = in_neighbourhood_stabiliser(g, x, budget)
+        if tight.kind is GermKind.TRIVIAL:
+            assert walk.kind is GermKind.TRIVIAL and walk.depth <= tight.depth
+        elif tight.kind is not GermKind.UNKNOWN:
+            assert tight == walk
+
+
+def test_witness_deeper_than_old_bound():
+    # k1 below [0^34 1] fixes [0^35] pointwise but moves points of [0^34];
+    # the walk along (0) reaches its identity section at depth 35
+    g = grig_gen("k1@" + "0" * 34 + "1")
+    verdict = in_neighbourhood_stabiliser(g, pt("(0)"))
+    assert str(verdict) == "trivial(35)"
+    assert verdict == reference_in_neighbourhood_stabiliser(g, pt("(0)"), 40)
 
 
 def test_nbhd_consistency(grig):
     # TRIVIAL(n) implies stabilises and a depth-n pointwise fix
     g = grig_word("ada")
-    verdict = in_neighbourhood_stabiliser(g, pt("(1)"), 10, 256)
+    verdict = in_neighbourhood_stabiliser(g, pt("(1)"), 256)
     assert verdict.kind is GermKind.TRIVIAL
     assert stabilises(g, pt("(1)")) is Tri.YES
     assert fixes_cylinder_pointwise(g, Cylinder(pt("(1)").prefix(verdict.depth)), 256) is Tri.YES
@@ -165,16 +222,16 @@ def test_nbhd_consistency(grig):
 
 
 def test_germ_classes_singular_point(grig):
-    report = germ_classes(grig, pt("(1)"), max_word_len=4, max_depth=20, budget=256)
+    report = germ_classes(grig, pt("(1)"), max_word_len=4, budget=256)
     assert report.lower_bound >= 4
     reps = {"".join(n for n, _ in c.representative_word) for c in report.classes}
     assert {"", "b", "c", "d"} <= reps
     for i, j, verdict in report.separations:
-        assert verdict.kind is GermKind.NONTRIVIAL_UP_TO
+        assert verdict.kind is GermKind.NONTRIVIAL
 
 
 def test_germ_classes_regular_point(grig):
-    report = germ_classes(grig, pt("(0)"), max_word_len=6, max_depth=30, budget=512)
+    report = germ_classes(grig, pt("(0)"), max_word_len=6, budget=512)
     assert report.lower_bound == 1
     assert report.classes[0].verdict.kind is GermKind.TRIVIAL
     assert not report.classes[0].provisional
@@ -188,7 +245,7 @@ def test_germ_classes_no_stabilisers_is_identity_class(odometer):
 
 def test_germ_quotient_bc_equals_d_class(grig):
     # b*c has the same germ as d at the all-ones point
-    report = germ_classes(grig, pt("(1)"), max_word_len=2, max_depth=15, budget=256)
+    report = germ_classes(grig, pt("(1)"), max_word_len=2, budget=256)
     by_rep = {"".join(n for n, _ in c.representative_word): c for c in report.classes}
     d_class = by_rep["d"]
     assert any("".join(n for n, _ in w) == "bc" for w in d_class.members)
@@ -205,7 +262,7 @@ def test_normality_witness(grig):
         if stabilises(h, x) is not Tri.YES:
             continue
         conj = h.compose(trivial).compose(h.inverse())
-        verdict = in_neighbourhood_stabiliser(conj, x, 15, 512)
+        verdict = in_neighbourhood_stabiliser(conj, x, 512)
         assert verdict.kind is GermKind.TRIVIAL
 
 
@@ -222,12 +279,14 @@ def test_identity_budget_monotonicity(letters):
 
 
 def test_germ_depth_monotonicity(grig):
+    # the depth-by-depth reference finds the walk's witness under every cap
+    # at least that deep
     g = grig_word("ada")
     x = pt("(1)")
-    v5 = in_neighbourhood_stabiliser(g, x, 5, 256)
-    v20 = in_neighbourhood_stabiliser(g, x, 20, 256)
-    if v5.kind is GermKind.TRIVIAL:
-        assert v20.kind is GermKind.TRIVIAL and v20.depth == v5.depth
+    verdict = in_neighbourhood_stabiliser(g, x, 256)
+    assert verdict.kind is GermKind.TRIVIAL
+    for cap in (verdict.depth, 5, 20):
+        assert reference_in_neighbourhood_stabiliser(g, x, cap, 256) == verdict
 
 
 # -- classify -----------------------------------------------------------------
@@ -278,7 +337,7 @@ def test_involutive_detection(grig, odometer):
 def test_tiny_budget_yields_provisional_classes(grig):
     # with an identity budget of 1 every section check exhausts, so class
     # separations rest on UNKNOWN verdicts and must be flagged provisional
-    report = germ_classes(grig, pt("(1)"), max_word_len=1, max_depth=3, budget=1)
+    report = germ_classes(grig, pt("(1)"), max_word_len=1, budget=1)
     multi = [c for c in report.classes if c.representative_word]
     assert multi
     assert all(c.provisional for c in multi)
