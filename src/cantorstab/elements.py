@@ -74,9 +74,9 @@ class TablePowerExceeded(ValueError):
 
 
 ACT_POINT_STATE_BUDGET = 4096
-# The section cache is emptied at this size: memory stays bounded in a
-# long-lived process, yet one germs command at word length 6, or one
-# conjugate and verify at depth 12, computes fewer sections than this.
+# The wreath caches are emptied at this many section words: memory stays
+# bounded in a long-lived process, yet one germs command at word length 6,
+# or one conjugate and verify at depth 12, computes fewer sections than this.
 SECTION_CACHE_LIMIT = 4096
 
 GENERATOR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:@[0-9]+)?")
@@ -99,9 +99,10 @@ class WreathTable:
     the automorphism acting as ``g`` on the subtree below ``v`` and
     trivially elsewhere.
 
-    The section cache only memoizes a pure function, so shared concurrent
-    use cannot change observable results; it is emptied whenever it reaches
-    ``SECTION_CACHE_LIMIT`` entries.
+    Two caches memoize pure functions: ``state`` per word, and the resolved
+    root permutation and sections per factor ``(name, exp)``.  Shared
+    concurrent use cannot change observable results; each cache is emptied
+    whenever it holds ``SECTION_CACHE_LIMIT`` section words.
     """
 
     def __init__(self, alphabet: Alphabet, entries: dict, involutive=()):
@@ -110,7 +111,10 @@ class WreathTable:
         self.involutive = frozenset(involutive)
         identity = tuple(range(alphabet.size))
         self._identity_perm = identity
-        self._section_cache: dict = {}
+        # each cached state or factor holds one section word per letter
+        self._cache_limit = SECTION_CACHE_LIMIT // alphabet.size
+        self._factors: dict = {}
+        self._states: dict = {}
         for name, (perm, sections) in self.entries.items():
             if not GENERATOR_NAME_RE.fullmatch(name) or "@" in name:
                 raise ValueError(f"bad generator name {name!r}")
@@ -144,49 +148,48 @@ class WreathTable:
         sections = tuple(child if a == letter else None for a in self.alphabet.letters())
         return self._identity_perm, sections
 
-    def factor_perm(self, name: str, exp: int) -> tuple[int, ...]:
-        perm, _ = self.resolve(name)
-        if exp == 1:
-            return perm
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        return tuple(inv)
+    def _factor(self, name: str, exp: int) -> tuple:
+        """Root permutation of ``name^exp`` and its section at each letter as
+        a reduced word of at most one letter, resolved once per factor."""
+        cached = self._factors.get((name, exp))
+        if cached is None:
+            perm, names = self.resolve(name)
+            if exp != 1:
+                inv = [0] * len(perm)
+                for i, p in enumerate(perm):
+                    inv[p] = i
+                perm = tuple(inv)
+                # (g^-1)|_x = (g|_{g^-1 x})^-1
+                names = tuple(names[p] for p in perm)
+            cached = perm, tuple(
+                () if s is None else ((s, 1 if s in self.involutive else exp),) for s in names
+            )
+            if len(self._factors) >= self._cache_limit:
+                self._factors.clear()
+            self._factors[name, exp] = cached
+        return cached
 
-    def factor_section(self, name: str, exp: int, letter: int):
-        """Section of ``name^exp`` at ``letter`` as a reduced one-letter word."""
-        perm, sections = self.resolve(name)
-        if exp == 1:
-            s = sections[letter]
-        else:
-            # (g^-1)|_x = (g|_{g^-1 x})^-1
-            s = sections[self.factor_perm(name, -1)[letter]]
-        if s is None:
-            return ()
-        if s in self.involutive:
-            return ((s, 1),)
-        return ((s, exp),)
-
-    def image(self, word, letter: int) -> int:
-        """Root image of ``letter`` under the element ``word``."""
-        for name, exp in reversed(word):
-            letter = self.factor_perm(name, exp)[letter]
-        return letter
+    def state(self, word) -> tuple:
+        """Root permutation of the element ``word`` and the reduced word of
+        its section at each letter, computed in one pass over the factors."""
+        cached = self._states.get(word)
+        if cached is None:
+            at = list(self._identity_perm)  # letter reaching each factor, per input letter
+            parts: list = [[] for _ in at]  # factor sections, rightmost factor first
+            for name, exp in reversed(word):
+                perm, sections = self._factor(name, exp)
+                for x, a in enumerate(at):
+                    parts[x] += sections[a]
+                    at[x] = perm[a]
+            cached = tuple(at), tuple(self.reduce(part[::-1]) for part in parts)
+            if len(self._states) >= self._cache_limit:
+                self._states.clear()
+            self._states[word] = cached
+        return cached
 
     def section_word(self, word, letter: int) -> tuple:
         """Reduced word of the section at ``letter`` of the element ``word``."""
-        key = (word, letter)
-        cached = self._section_cache.get(key)
-        if cached is None:
-            parts: list = []
-            for name, exp in reversed(word):
-                parts.append(self.factor_section(name, exp, letter))
-                letter = self.factor_perm(name, exp)[letter]
-            cached = self.reduce([f for part in reversed(parts) for f in part])
-            if len(self._section_cache) >= SECTION_CACHE_LIMIT:
-                self._section_cache.clear()
-            self._section_cache[key] = cached
-        return cached
+        return self.state(word)[1][letter]
 
     def reduce(self, word) -> tuple:
         """Free reduction plus involution rewriting of a generator word."""
@@ -207,6 +210,8 @@ class GroupElement(Protocol):
     """Common contract: act on words and points, compose, invert, sections."""
 
     alphabet: Alphabet
+
+    def act_letters(self, letters: tuple) -> tuple: ...
 
     def act_word(self, w: Word) -> Word: ...
 
@@ -264,19 +269,29 @@ class TreeAutomorphism:
     def section_at(self, letter: int) -> "TreeAutomorphism":
         return TreeAutomorphism(self.table, self.table.section_word(self.word, letter))
 
-    def act_word(self, w: Word) -> Word:
-        self.alphabet.check(w.alphabet)
+    def act_letters(self, letters) -> tuple:
+        state = self.table.state
         out = []
         word = self.word
-        for letter in w:
-            out.append(self.table.image(word, letter))
-            word = self.table.section_word(word, letter)
-        return Word(tuple(out), self.alphabet)
+        for letter in letters:
+            perm, sections = state(word)
+            out.append(perm[letter])
+            word = sections[letter]
+        return tuple(out)
+
+    def act_word(self, w: Word) -> Word:
+        self.alphabet.check(w.alphabet)
+        return Word(self.act_letters(w.letters), self.alphabet)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
-        table = self.table
-        return _transduce(lambda word, a: (table.image(word, a), table.section_word(word, a)), self.word, x)
+        state = self.table.state
+
+        def step(word, a):
+            perm, sections = state(word)
+            return perm[a], sections[a]
+
+        return _transduce(step, self.word, x)
 
     def section(self, w: Word) -> "TreeAutomorphism":
         self.alphabet.check(w.alphabet)
@@ -301,12 +316,10 @@ class TreeAutomorphism:
         seen = {self.word}
         stack = [self.word]
         while stack:
-            word = stack.pop()
-            for letter in self.alphabet.letters():
-                if self.table.image(word, letter) != letter:
-                    return Tri.NO
-            for letter in self.alphabet.letters():
-                sec = self.table.section_word(word, letter)
+            perm, sections = self.table.state(stack.pop())
+            if perm != self.table._identity_perm:
+                return Tri.NO
+            for sec in sections:
                 if sec and sec not in seen:
                     if len(seen) >= budget:
                         return Tri.UNKNOWN
@@ -389,7 +402,7 @@ class PrefixBijection:
     set is a normal form.
     """
 
-    __slots__ = ("alphabet", "rules")
+    __slots__ = ("alphabet", "rules", "_depth")
 
     def __init__(self, rules, alphabet: Alphabet | None = None):
         pairs = []
@@ -409,6 +422,7 @@ class PrefixBijection:
         _validate_code([u for u, _ in pairs], size, "domain")
         _validate_code([v for _, v in pairs], size, "range")
         self.rules = _merge_siblings(pairs, size, _merge_images)
+        self._depth = max(len(u) for u, _ in self.rules)
 
     def __eq__(self, other):
         return (
@@ -434,19 +448,21 @@ class PrefixBijection:
         if not isinstance(other, PrefixBijection) or other.alphabet != self.alphabet:
             raise FamilyMismatch("prefix bijections must share an alphabet")
 
+    def act_letters(self, letters) -> tuple:
+        rule = _lookup(self.rules, letters)
+        if rule is None:
+            word = Word(letters, self.alphabet)
+            raise UnresolvedWord(f"word {word} shorter than resolution depth {self._depth}")
+        u, v = rule
+        return v + letters[len(u):]
+
     def act_word(self, w: Word) -> Word:
         self.alphabet.check(w.alphabet)
-        rule = _lookup(self.rules, w.letters)
-        if rule is None:
-            raise UnresolvedWord(f"word {w} shorter than resolution depth {self.resolution_depth()}")
-        u, v = rule
-        return Word(v + w.letters[len(u):], self.alphabet)
+        return Word(self.act_letters(w.letters), self.alphabet)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
-        depth = self.resolution_depth()
-        rule = _lookup(self.rules, x.prefix(depth).letters)
-        u, v = rule
+        u, v = _lookup(self.rules, x.prefix(self._depth).letters)
         return x.shift(len(u)).prepend(Word(v, self.alphabet))
 
     def section(self, w: Word) -> "PrefixBijection":
@@ -482,7 +498,7 @@ class PrefixBijection:
         return Tri.YES if all(u == v for u, v in self.rules) else Tri.NO
 
     def resolution_depth(self) -> int:
-        return max(len(u) for u, _ in self.rules)
+        return self._depth
 
     def identity_like(self) -> "PrefixBijection":
         return PrefixBijection.identity(self.alphabet)
@@ -598,13 +614,16 @@ class FullGroupTable:
         if not isinstance(other, FullGroupTable):
             raise FamilyMismatch("full-group tables only compose with each other")
 
+    def act_letters(self, letters) -> tuple:
+        row = _lookup(self.rows, letters)
+        if row is None:
+            word = Word(letters, self.alphabet)
+            raise UnresolvedWord(f"word {word} shorter than resolution depth {self.resolution_depth()}")
+        return odometer_word_image(letters, row[1])
+
     def act_word(self, w: Word) -> Word:
         self.alphabet.check(w.alphabet)
-        row = _lookup(self.rows, w.letters)
-        if row is None:
-            raise UnresolvedWord(f"word {w} shorter than resolution depth {self.resolution_depth()}")
-        _, k = row
-        return Word(odometer_word_image(w.letters, k), self.alphabet)
+        return Word(self.act_letters(w.letters), self.alphabet)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)

@@ -166,6 +166,11 @@ def in_neighbourhood_stabiliser(
         return GermVerdict(GermKind.NOT_IN_STABILISER)
     if st is Tri.UNKNOWN:
         return GermVerdict(GermKind.UNKNOWN)
+    return _germ_walk(g, x, budget)
+
+
+def _germ_walk(g: GroupElement, x: BoundaryPoint, budget: int) -> GermVerdict:
+    """``in_neighbourhood_stabiliser`` for a g known to fix x."""
     start = max(g.resolution_depth(), 1)
     verdicts = []  # verdicts[n - 1] is the verdict at depth n
     for n in range(1, start):
@@ -257,9 +262,8 @@ def germ_classes(
         placed = False
         quotient_verdicts = []
         for rep in reps:
-            verdict = in_neighbourhood_stabiliser(
-                elem.compose(rep[1].inverse()), x, budget
-            )
+            # both words fix x, so their quotient does
+            verdict = _germ_walk(elem.compose(rep[1].inverse()), x, budget)
             if verdict.kind is GermKind.TRIVIAL:
                 rep[2].append(word)
                 placed = True
@@ -272,7 +276,7 @@ def germ_classes(
             reps.append([word, elem, [word]])
     classes = []
     for idx, (word, elem, members) in enumerate(reps):
-        own = in_neighbourhood_stabiliser(elem, x, budget)
+        own = _germ_walk(elem, x, budget)
         provisional = any(
             v.kind is GermKind.UNKNOWN
             for (i, j), v in separations.items()

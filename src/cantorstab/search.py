@@ -91,7 +91,10 @@ def cylinder_orbit(
     alphabet = seed.alphabet
     if budget is None:
         budget = orbit_budget(alphabet.size, depth)
-    moves = generator_moves(named_generators)
+    moves = []  # (move letter, letter-tuple action, resolution depth)
+    for letter_move, g in generator_moves(named_generators):
+        alphabet.check(g.alphabet)
+        moves.append((letter_move, g.act_letters, g.resolution_depth()))
     reached: dict = {}
     truncated = False
 
@@ -115,11 +118,11 @@ def cylinder_orbit(
             truncated = True
             continue
         unresolved = False
-        for letter_move, g in moves:
-            if len(node) < g.resolution_depth():
+        for letter_move, act, resolution_depth in moves:
+            if len(node) < resolution_depth:
                 unresolved = True
                 continue
-            image = g.act_word(Word(node, alphabet)).letters
+            image = act(node)
             if image not in visited:
                 if len(visited) >= budget.max_states:
                     truncated = True

@@ -76,6 +76,7 @@ def test_grig_verify_all_pass(grig_cert):
 
 @pytest.mark.parametrize("family, x, y, depth", [
     ("grigorchuk", "(0)", "(01)", 40),
+    ("grigorchuk", "(0)", "(01)", 128),
     ("prefix-v", "(0)", "1(01)", 12),
 ])
 def test_deep_certificate_builds_and_verifies(family, x, y, depth):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cantorstab import (
     Alphabet,
     BoundaryPoint,
+    Cylinder,
     FamilyMismatch,
     FullGroupTable,
     IncompleteCode,
@@ -158,19 +159,79 @@ def test_section_law(letters, w, s):
     assert lhs == rhs
 
 
+# test-only reference: the per-factor loop that resolves every factor again
+# for every letter, which ``WreathTable.state`` replaces
+
+
+def reference_perm(table, name, exp):
+    perm, _ = table.resolve(name)
+    if exp == 1:
+        return perm
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
+
+
+def reference_image(table, word, letter):
+    for name, exp in reversed(word):
+        letter = reference_perm(table, name, exp)[letter]
+    return letter
+
+
+def reference_section_word(table, word, letter):
+    parts = []
+    for name, exp in reversed(word):
+        _, sections = table.resolve(name)
+        # (g^-1)|_x = (g|_{g^-1 x})^-1
+        s = sections[letter if exp == 1 else reference_perm(table, name, -1)[letter]]
+        if s is not None:
+            parts.append((s, 1 if s in table.involutive else exp))
+        letter = reference_perm(table, name, exp)[letter]
+    return table.reduce(parts[::-1])
+
+
+GRIG_NAMES = sorted(GRIGORCHUK_TABLE.entries)
+grig_factors = st.tuples(
+    st.one_of(
+        st.sampled_from(GRIG_NAMES),
+        st.builds(
+            "{}@{}".format,
+            st.sampled_from(GRIG_NAMES),
+            st.text(alphabet="01", min_size=1, max_size=12),
+        ),
+    ),
+    st.sampled_from((1, -1)),
+)
+
+
+@given(st.lists(grig_factors, max_size=8).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_state_matches_reference(word):
+    table = GRIGORCHUK_TABLE
+    perm, sections = table.state(word)
+    assert perm == tuple(reference_image(table, word, a) for a in (0, 1))
+    assert sections == tuple(reference_section_word(table, word, a) for a in (0, 1))
+    assert table.state(word) == (perm, sections)
+
+
 def test_section_cache_is_bounded():
+    # each cached state holds one section word per letter; the cache is
+    # emptied once it holds SECTION_CACHE_LIMIT section words
     table = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
     fresh = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
     peak = 0
     for letters in itertools.product("abcd", repeat=7):
-        word = table.reduce([(name, 1) for name in letters])
-        for a in (0, 1):
-            table.section_word(word, a)
-            peak = max(peak, len(table._section_cache))
-    assert peak == SECTION_CACHE_LIMIT
+        table.state(table.reduce([(name, 1) for name in letters]))
+        peak = max(peak, len(table._states))
+    assert peak * BIN.size == SECTION_CACHE_LIMIT
+    assert len(table._factors) * BIN.size <= SECTION_CACHE_LIMIT
     # emptying the cache changes no result
     word = table.reduce([(name, 1) for name in "abcdabc"])
-    assert table.section_word(word, 1) == fresh.section_word(word, 1)
+    before = table.state(word)
+    table._states.clear()
+    table._factors.clear()
+    assert table.state(word) == before == fresh.state(word)
 
 
 # -- compose / invert ----------------------------------------------------
@@ -288,6 +349,8 @@ def test_resolution_depths():
     assert grig_word("abcd").resolution_depth() == 0
     assert PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")]).resolution_depth() == 2
     assert FullGroupTable([("", 0)]).resolution_depth() == 0
+    # computed once, at construction, on the merged rule set
+    assert PrefixBijection([("00", "00"), ("01", "01"), ("1", "1")]).resolution_depth() == 0
 
 
 def test_unresolved_word_error():
@@ -408,7 +471,7 @@ def test_parse_generator_word():
 
 from functools import reduce
 
-from cantorstab.presets import odometer_full, prefix_v
+from cantorstab.presets import grigorchuk, odometer_full, prefix_v
 
 PREFIX_FAMILY = prefix_v()
 ODO_FAMILY = odometer_full()
@@ -496,3 +559,32 @@ def test_identity_oracle_confirms_pair_orders(letters, power, expected):
     # the orders of the generator pairs fall out of the section closure;
     # nothing in the table declares them
     assert grig_word(letters * power).is_identity(4096) is expected
+
+
+def preset_elements(family):
+    """A preset's moves, and its rist-oracle generators below a few
+    cylinders, which resolve only at the cylinder's depth or deeper."""
+    elems = [g for _, g in family.moves()]
+    for u in ("0", "10", "011"):
+        elems += family.rist_oracle(Cylinder.from_string(u))
+    return elems
+
+
+preset_products = st.sampled_from(
+    [preset_elements(f) for f in (grigorchuk(), PREFIX_FAMILY, ODO_FAMILY)]
+).flatmap(lambda elems: st.lists(st.sampled_from(elems), min_size=1, max_size=3)).map(
+    lambda gens: reduce(lambda a, b: a.compose(b), gens)
+)
+
+
+@given(preset_products, st.lists(st.integers(0, 1), max_size=6).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_act_letters_agrees_with_act_word(g, letters):
+    try:
+        expected = g.act_word(Word(letters, g.alphabet)).letters
+    except UnresolvedWord:
+        assert len(letters) < g.resolution_depth()
+        with pytest.raises(UnresolvedWord):
+            g.act_letters(letters)
+    else:
+        assert g.act_letters(letters) == expected
