@@ -25,7 +25,6 @@ from .elements import (
     NotBijective,
     OverlappingCode,
     PrefixBijection,
-    TablePowerExceeded,
     TreeAutomorphism,
     Tri,
     UnresolvedWord,

@@ -138,8 +138,8 @@ def cmd_conjugate(args) -> int:
     )
     try:
         cert = build_conjugator(family, x, y, schedule, budgets)
-    except (ConjugatorBuildError, EmptyRist) as exc:
-        if isinstance(exc, ConjugatorBuildError) and args.out:
+    except ConjugatorBuildError as exc:
+        if args.out:
             write_certificate(args.out, exc.partial)
             sys.stderr.write(f"partial certificate written to {args.out}\n")
         sys.stderr.write(f"conjugate failed: {exc}\n")
@@ -194,10 +194,12 @@ def cmd_rist(args) -> int:
     u = Cylinder(Word.from_string(args.cylinder, family.alphabet))
     budget = SearchBudget(args.maxlen, args.max_states)
     if args.oracle:
-        found = [(None, g) for g in rist_generators(family, u, budget, args.id_budget)]
+        try:
+            elements = rist_generators(family, u, budget, args.id_budget)
+        except EmptyRist:
+            elements = []
     else:
-        found = rist_search(family, u, budget, args.id_budget)
-    elements = [g for _, g in found]
+        elements = [g for _, g in rist_search(family, u, budget, args.id_budget)]
     body = serialize.rist_to_obj(u, elements)
     lines = [f"rist({u}): {len(elements)} elements"]
     lines.extend(f"  {g!r}" for g in elements[:20])

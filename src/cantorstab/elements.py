@@ -69,10 +69,6 @@ class NotBijective(ValueError):
     """Rule images do not partition the space."""
 
 
-class TablePowerExceeded(ValueError):
-    """A table row would need an odometer power beyond the hard bound."""
-
-
 ACT_POINT_STATE_BUDGET = 4096
 # The wreath caches are emptied at this many section words: memory stays
 # bounded in a long-lived process, yet one germs command at word length 6,
@@ -547,9 +543,6 @@ def _merge_images(images):
 # odometer full-group tables
 
 
-MAX_TABLE_POWER = 64
-
-
 def _word_value(letters) -> int:
     return sum(a << i for i, a in enumerate(letters))
 
@@ -571,8 +564,8 @@ class FullGroupTable:
     Rows ``(cylinder, power)`` with the cylinders partitioning the space;
     a point with prefix ``c`` maps through the odometer applied ``power``
     times.  Row cylinders and row images must both partition the space
-    (checked at construction), and ``|power| <= 64`` keeps refinement
-    depths bounded.
+    (checked at construction).  A power may be any integer: refinement in
+    ``compose`` stops at the depth of the rows, whatever the powers.
     """
 
     __slots__ = ("alphabet", "rows")
@@ -582,8 +575,6 @@ class FullGroupTable:
         norm = []
         for c, k in rows:
             letters = c.letters if isinstance(c, Word) else tuple(int(ch) for ch in str(c))
-            if abs(k) > MAX_TABLE_POWER:
-                raise TablePowerExceeded(f"row power {k} exceeds bound {MAX_TABLE_POWER}")
             norm.append((letters, int(k)))
         if not norm:
             raise IncompleteCode("table must have at least one row")

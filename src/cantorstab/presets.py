@@ -28,7 +28,6 @@ from __future__ import annotations
 from .space import Alphabet, BoundaryPoint, Cylinder, Word, complement
 from .elements import (
     FullGroupTable,
-    MAX_TABLE_POWER,
     PrefixBijection,
     TreeAutomorphism,
     WreathTable,
@@ -84,10 +83,7 @@ def grigorchuk() -> GroupFamily:
 
 
 def _odometer_rist(u: Cylinder):
-    power = 1 << u.depth
-    if power > MAX_TABLE_POWER:
-        return []
-    return [FullGroupTable([(u.prefix, power)] + [(c.prefix, 0) for c in complement(u)])]
+    return [FullGroupTable([(u.prefix, 1 << u.depth)] + [(c.prefix, 0) for c in complement(u)])]
 
 
 def odometer_full() -> GroupFamily:

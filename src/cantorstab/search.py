@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .space import Cylinder, BoundaryPoint, Word, cylinders_at_depth
-from .elements import GroupElement, NoCycleWithinBound, TablePowerExceeded, Tri
+from .elements import GroupElement, NoCycleWithinBound, Tri
 from .engine import (
     DEFAULT_ID_BUDGET,
     GroupFamily,
@@ -281,10 +281,7 @@ def transporter(
                 continue
             if image in visited:
                 continue
-            try:
-                candidate = g.compose(elem)
-            except TablePowerExceeded:
-                continue
+            candidate = g.compose(elem)
             if image.prefix(n) == target_prefix:
                 return candidate
             if len(visited) >= budget.max_states:

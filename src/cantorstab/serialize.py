@@ -14,6 +14,7 @@ import tempfile
 
 from .space import Alphabet, Cylinder, parse_point
 from .elements import (
+    ACT_POINT_STATE_BUDGET,
     FamilyMismatch,
     FullGroupTable,
     GroupElement,
@@ -125,6 +126,11 @@ def element_from_obj(obj, table: WreathTable | None = None, alphabet: Alphabet |
         return TreeAutomorphism(table, parse_generator_word(obj["word"]))
     if kind == "prefix":
         return PrefixBijection(obj["rules"], alphabet or Alphabet(2))
+    for n, (_, k) in enumerate(obj["rows"]):
+        # a carry this long cannot settle within the point-action budget
+        if k.bit_length() > ACT_POINT_STATE_BUDGET:
+            raise ValueError(f"table element.rows[{n}]: power of {k.bit_length()} bits "
+                             f"exceeds {ACT_POINT_STATE_BUDGET} bits")
     return FullGroupTable([(c, k) for c, k in obj["rows"]])
 
 

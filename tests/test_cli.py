@@ -26,6 +26,9 @@ ODO_WREATH = {
     "public": ["t"],
 }
 
+# the odometer alone as a table family: no oracle, no proper rigid stabilisers
+BARE_TABLE = {"type": "table", "name": "bare", "alphabet": 2, "generators": {"t": [["", 1]]}}
+
 
 # -- classify -----------------------------------------------------------------
 
@@ -204,12 +207,8 @@ def test_verify_samples_family_without_rigid_stabilisers(tmp_path):
 
 
 def test_conjugate_search_failure_exit_3(tmp_path):
-    # the bare single-generator family has empty proper rigid stabilisers
     family_path = tmp_path / "bare.json"
-    family_path.write_text(json.dumps({
-        "type": "table", "name": "bare", "alphabet": 2,
-        "generators": {"t": [["", 1]]},
-    }))
+    family_path.write_text(json.dumps(BARE_TABLE))
     proc = run_cli(
         "conjugate", "--family", str(family_path),
         "--x", "(0)", "--y", "(1)", "--depth", "3",
@@ -337,12 +336,91 @@ def test_rist_oracle_flag():
 
 
 def test_conjugate_beyond_capacity_exit_3_with_partial(tmp_path):
-    cert_path = tmp_path / "deep.json"
+    # moving (0) into [11] needs a transporter word of length 2
+    cert_path = tmp_path / "partial.json"
     proc = run_cli(
-        "conjugate", "--family", "odometer-full",
-        "--x", "(0)", "--y", "(1)", "--depth", "7", "--out", str(cert_path),
+        "conjugate", "--family", "grigorchuk", "--x", "(0)", "--y", "11(0)",
+        "--depth", "4", "--maxlen", "1", "--out", str(cert_path),
     )
     assert proc.returncode == 3
-    assert "capacity" in proc.stderr
+    assert "stage 1: no product of length <= 1 reaches [11]" in proc.stderr
     envelope = json.loads(cert_path.read_text())
-    assert len(envelope["canonical"]["stages"]) == 7
+    assert envelope["canonical"]["stages"] == [{"d": 0, "h": {"kind": "word", "word": ""}}]
+    proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_rist_oracle_empty_reports_no_elements(tmp_path):
+    # the bare family has no oracle and no proper rigid-stabiliser elements:
+    # with or without --oracle, the report is the same empty one
+    family_path = tmp_path / "bare.json"
+    family_path.write_text(json.dumps(BARE_TABLE))
+    argv = ("rist", "--family", str(family_path), "--cylinder", "1", "--maxlen", "1", "--format", "json")
+    search, oracle = run_cli(*argv), run_cli(*argv, "--oracle")
+    assert oracle.returncode == search.returncode == 0, oracle.stderr
+    assert oracle.stdout == search.stdout
+    assert json.loads(oracle.stdout)["canonical"]["count"] == 0
+
+
+def odometer_certificate_with_power(power) -> str:
+    """The golden odometer-full certificate with the power 8 of stage 4's
+    correction (the first return to [111]) replaced."""
+    body = json.loads((GOLDEN / "conjugate-odometer-full.json").read_text())
+    assert body["stages"][4]["h"]["rows"][3] == ["111", 8]
+    body["stages"][4]["h"]["rows"][3][1] = power
+    return serialize.dumps_envelope(serialize.SCHEMA_CERTIFICATE, body)
+
+
+@pytest.mark.parametrize("where", ["certificate", "family"])
+def test_table_power_beyond_point_budget_exit_2(tmp_path, where):
+    path = tmp_path / "input.json"
+    if where == "certificate":
+        path.write_text(odometer_certificate_with_power(2**5000))
+        argv = ("verify", "--family", "odometer-full", "--cert", str(path))
+    else:
+        path.write_text(json.dumps({**BARE_TABLE, "generators": {"t": [["", 2**5000]]}}))
+        argv = ("orbit", "--family", str(path), "--seed", "0", "--depth", "1")
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    # the message names the row and the bit length, not the 1,506-digit power
+    assert "rows[" in proc.stderr and "power of 5001 bits" in proc.stderr
+    assert len(proc.stderr) < 200
+
+
+def test_table_power_of_71_bits_loads_and_fails_verify(tmp_path):
+    # t^(2^70) leaves the letter it should flip alone, so the certificate
+    # loads and fails verification
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(odometer_certificate_with_power(2**70))
+    proc = run_cli("verify", "--family", "odometer-full", "--cert", str(cert_path))
+    assert proc.returncode == 1 and proc.stderr == "", proc.stdout + proc.stderr
+    assert "FAIL" in proc.stdout
+
+
+# a period of 4,201 letters: the point action does not close within its
+# state budget, whatever the element
+LONG_PERIOD_POINT = "(" + "0" * 4200 + "1)"
+
+
+def test_conjugate_long_period_point_exit_3(tmp_path):
+    cert_path = tmp_path / "partial.json"
+    proc = run_cli(
+        "conjugate", "--family", "grigorchuk", "--x", LONG_PERIOD_POINT, "--y", "(01)",
+        "--depth", "3", "--out", str(cert_path),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "conjugate failed: stage 1: no closing state within 4096 steps"
+    assert len(json.loads(cert_path.read_text())["canonical"]["stages"]) == 1
+
+
+def test_verify_long_period_point_convergence_unknown(tmp_path):
+    body = json.loads((GOLDEN / "conjugate-grigorchuk.json").read_text())
+    body["x"] = LONG_PERIOD_POINT
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps_envelope(serialize.SCHEMA_CERTIFICATE, body))
+    proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path), "--format", "json")
+    assert proc.returncode == 1 and proc.stderr == ""
+    checks = json.loads(proc.stdout)["canonical"]["checks"]
+    assert {c["status"] for c in checks if c["condition"] == "convergence"} == {"UNKNOWN"}
+    assert {c["status"] for c in checks if c["condition"] != "convergence"} == {"PASS"}

@@ -78,6 +78,9 @@ def test_grig_verify_all_pass(grig_cert):
     ("grigorchuk", "(0)", "(01)", 40),
     ("grigorchuk", "(0)", "(01)", 128),
     ("prefix-v", "(0)", "1(01)", 12),
+    # the first return to a depth-d cylinder is the odometer power 2^d
+    ("odometer-full", "(0)", "(1)", 32),
+    ("odometer-full", "(0)", "(01)", 32),
 ])
 def test_deep_certificate_builds_and_verifies(family, x, y, depth):
     # rist checks walk the (|X|-1)*d siblings of U and V, not all |X|^d
@@ -318,20 +321,6 @@ def test_builder_warns_on_nonminimal_family(grig):
         except Exception:
             pass
     assert any("minimality" in str(w.message) for w in caught)
-
-
-def test_odometer_schedule_beyond_table_capacity(odometer):
-    # the power bound caps odometer-full certificates at depth 6; deeper
-    # schedules fail at stage 7 with the six built stages attached
-    from cantorstab import ConjugatorBuildError
-
-    with pytest.raises(ConjugatorBuildError) as info:
-        build_conjugator(
-            odometer, pt("(0)"), pt("(1)"), DepthSchedule.unit_steps(7)
-        )
-    assert info.value.stage == 7
-    assert len(info.value.partial.stages) == 7  # stage 0 plus six built stages
-    assert verify_certificate(info.value.partial).ok
 
 
 def test_prefix_family_certificate_end_to_end(prefix_family):

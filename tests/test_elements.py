@@ -387,11 +387,6 @@ def test_validate_table_not_bijective():
         FullGroupTable([("0", 0), ("1", 1)])
 
 
-def test_table_power_bound():
-    with pytest.raises(ValueError):
-        FullGroupTable([("", 65)])
-
-
 # -- cross representation ------------------------------------------------
 
 

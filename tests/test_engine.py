@@ -326,7 +326,7 @@ def test_reduced_words_shortlex_and_reduced(grig):
 
 def test_involutive_detection(grig, odometer):
     # an involution contributes its letter only, any other generator its
-    # inverse too; a square beyond the table power bound is not involutive
+    # inverse too; a nonzero odometer power is never involutive
     assert [letter for letter, _ in grig.moves()] == [(n, 1) for n in "abcd"]
     assert [letter for letter, _ in odometer.moves()] == [("t", 1), ("t", -1)]
     big = FullGroupTable.odometer(40)

@@ -163,6 +163,14 @@ def test_odometer_oracle_first_return(odometer):
     assert in_rigid_stabiliser(r, cyl("0"), 8) is Tri.YES
 
 
+def test_odometer_oracle_deep_cylinder(odometer):
+    # the first return to a depth-7 cylinder is the odometer power 2^7
+    u = cyl("0110100")
+    [r] = odometer.rist_oracle(u)
+    assert dict(r.rows)[u.prefix.letters] == 1 << 7
+    assert in_rigid_stabiliser(r, u, 8) is Tri.YES
+
+
 def test_prefix_oracle_sibling_swaps(prefix_family):
     gens = rist_generators(prefix_family, cyl("1"))
     assert gens
