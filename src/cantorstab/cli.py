@@ -102,10 +102,6 @@ def write_certificate(path: str, cert) -> None:
     )
 
 
-def _germ_report(family, point, args):
-    return germ_classes(family, point, args.maxlen, args.id_budget)
-
-
 def cmd_classify(args) -> int:
     family = load_family(args.family)
     point = parse_point(args.point, family.alphabet)
@@ -113,7 +109,7 @@ def cmd_classify(args) -> int:
     body = {"family": family.name, "point": str(point), "class": verdict.value}
     lines = [f"{point}: {verdict.value.upper()}"]
     if args.germs:
-        report = _germ_report(family, point, args)
+        report = germ_classes(family, point, args.maxlen, args.id_budget)
         body["germs"] = serialize.germs_to_obj(report)
         lines.append(
             f"germ classes (words <= {report.max_word_len}): "
@@ -192,7 +188,7 @@ def cmd_orbit(args) -> int:
 def cmd_rist(args) -> int:
     family = load_family(args.family)
     u = Cylinder(Word.from_string(args.cylinder, family.alphabet))
-    budget = SearchBudget(args.maxlen, args.max_states)
+    budget = SearchBudget(args.maxlen)
     if args.oracle:
         try:
             elements = rist_generators(family, u, budget, args.id_budget)
@@ -210,7 +206,7 @@ def cmd_rist(args) -> int:
 def cmd_germs(args) -> int:
     family = load_family(args.family)
     point = parse_point(args.point, family.alphabet)
-    report = _germ_report(family, point, args)
+    report = germ_classes(family, point, args.maxlen, args.id_budget)
     body = serialize.germs_to_obj(report)
     lines = [
         f"germ classes of {point} (words <= {report.max_word_len}): "
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("rist", help="rigid-stabiliser elements of a cylinder")
-    common(p, max_states=True)
+    common(p)
     p.add_argument("--cylinder", required=True)
     p.add_argument("--maxlen", type=positive_int, default=DEFAULT_SEARCH_MAXLEN)
     p.add_argument("--oracle", action="store_true",

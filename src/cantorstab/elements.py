@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Protocol
 
 from .space import (
+    BINARY,
     Alphabet,
     BoundaryPoint,
     Word,
@@ -203,17 +204,17 @@ class WreathTable:
 
 
 class GroupElement(Protocol):
-    """Common contract: act on words and points, compose, invert, sections."""
+    """Common contract: act on finite words (letter tuples) and points,
+    compose, invert, take sections.  Letter tuples come from checked points
+    and cylinders; the alphabet is checked where those enter."""
 
     alphabet: Alphabet
 
     def act_letters(self, letters: tuple) -> tuple: ...
 
-    def act_word(self, w: Word) -> Word: ...
-
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint: ...
 
-    def section(self, w: Word) -> "GroupElement": ...
+    def section(self, letters: tuple) -> "GroupElement": ...
 
     def compose(self, other: "GroupElement") -> "GroupElement": ...
 
@@ -262,9 +263,6 @@ class TreeAutomorphism:
         if not isinstance(other, TreeAutomorphism) or other.table is not self.table:
             raise FamilyMismatch("tree automorphisms must share a wreath table")
 
-    def section_at(self, letter: int) -> "TreeAutomorphism":
-        return TreeAutomorphism(self.table, self.table.section_word(self.word, letter))
-
     def act_letters(self, letters) -> tuple:
         state = self.table.state
         out = []
@@ -274,10 +272,6 @@ class TreeAutomorphism:
             out.append(perm[letter])
             word = sections[letter]
         return tuple(out)
-
-    def act_word(self, w: Word) -> Word:
-        self.alphabet.check(w.alphabet)
-        return Word(self.act_letters(w.letters), self.alphabet)
 
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
@@ -289,10 +283,9 @@ class TreeAutomorphism:
 
         return _transduce(step, self.word, x)
 
-    def section(self, w: Word) -> "TreeAutomorphism":
-        self.alphabet.check(w.alphabet)
+    def section(self, letters) -> "TreeAutomorphism":
         word = self.word
-        for letter in w:
+        for letter in letters:
             word = self.table.section_word(word, letter)
         return TreeAutomorphism(self.table, word)
 
@@ -379,6 +372,9 @@ def _code_complete(words, size: int) -> bool:
 
 
 def _validate_code(words, size: int, side: str):
+    outside = set().union(*words).difference(range(size))
+    if outside:
+        raise ValueError(f"{side} code has letter {min(outside)} outside alphabet of size {size}")
     if not _prefix_free(words):
         if side == "domain":
             raise OverlappingCode(f"{side} code has nested words")
@@ -392,7 +388,8 @@ def _validate_code(words, size: int, side: str):
 class PrefixBijection:
     """Homeomorphism replacing a prefix ``u_j`` by ``v_j``, tail unchanged.
 
-    Both ``{u_j}`` and ``{v_j}`` must be complete prefix codes; validated at
+    Rules are pairs of letter tuples ``(u_j, v_j)``.  Both ``{u_j}`` and
+    ``{v_j}`` must be complete prefix codes over the alphabet; validated at
     construction.  Rules are canonicalized by merging sibling rules that
     agree (``u0 -> v0, u1 -> v1`` becomes ``u -> v``), so the stored rule
     set is a normal form.
@@ -400,21 +397,12 @@ class PrefixBijection:
 
     __slots__ = ("alphabet", "rules", "_depth")
 
-    def __init__(self, rules, alphabet: Alphabet | None = None):
-        pairs = []
-        for u, v in rules:
-            u = u if isinstance(u, Word) else Word.from_string(u, alphabet or Alphabet(2))
-            v = v if isinstance(v, Word) else Word.from_string(v, u.alphabet)
-            u.alphabet.check(v.alphabet)
-            if alphabet is None:
-                alphabet = u.alphabet
-            else:
-                alphabet.check(u.alphabet)
-            pairs.append((u.letters, v.letters))
+    def __init__(self, rules, alphabet: Alphabet = BINARY):
+        pairs = list(rules)
         if not pairs:
             raise IncompleteCode("rule set must be nonempty")
         self.alphabet = alphabet
-        size = self.alphabet.size
+        size = alphabet.size
         _validate_code([u for u, _ in pairs], size, "domain")
         _validate_code([v for _, v in pairs], size, "range")
         self.rules = _merge_siblings(pairs, size, _merge_images)
@@ -438,7 +426,7 @@ class PrefixBijection:
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PrefixBijection":
-        return cls([(Word((), alphabet), Word((), alphabet))], alphabet)
+        return cls([((), ())], alphabet)
 
     def _check_family(self, other):
         if not isinstance(other, PrefixBijection) or other.alphabet != self.alphabet:
@@ -452,19 +440,14 @@ class PrefixBijection:
         u, v = rule
         return v + letters[len(u):]
 
-    def act_word(self, w: Word) -> Word:
-        self.alphabet.check(w.alphabet)
-        return Word(self.act_letters(w.letters), self.alphabet)
-
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
         u, v = _lookup(self.rules, x.prefix(self._depth).letters)
         return x.shift(len(u)).prepend(Word(v, self.alphabet))
 
-    def section(self, w: Word) -> "PrefixBijection":
-        self.alphabet.check(w.alphabet)
-        if _lookup(self.rules, w.letters) is None:
-            raise UnresolvedWord(f"word {w} does not resolve a rule")
+    def section(self, letters) -> "PrefixBijection":
+        if _lookup(self.rules, letters) is None:
+            raise UnresolvedWord(f"word {Word(letters, self.alphabet)} does not resolve a rule")
         return PrefixBijection.identity(self.alphabet)
 
     def compose(self, other) -> "PrefixBijection":
@@ -475,7 +458,7 @@ class PrefixBijection:
             rule = _lookup(self.rules, v)
             if rule is not None:
                 p, q = rule
-                out.append((Word(u, self.alphabet), Word(q + v[len(p):], self.alphabet)))
+                out.append((u, q + v[len(p):]))
             else:
                 for a in self.alphabet.letters():
                     refine(u + (a,), v + (a,))
@@ -485,10 +468,7 @@ class PrefixBijection:
         return PrefixBijection(out, self.alphabet)
 
     def inverse(self) -> "PrefixBijection":
-        return PrefixBijection(
-            [(Word(v, self.alphabet), Word(u, self.alphabet)) for u, v in self.rules],
-            self.alphabet,
-        )
+        return PrefixBijection([(v, u) for u, v in self.rules], self.alphabet)
 
     def is_identity(self, budget: int = 512) -> Tri:
         return Tri.YES if all(u == v for u, v in self.rules) else Tri.NO
@@ -561,9 +541,9 @@ def odometer_word_image(letters, power: int) -> tuple[int, ...]:
 class FullGroupTable:
     """Piecewise power of the binary odometer.
 
-    Rows ``(cylinder, power)`` with the cylinders partitioning the space;
-    a point with prefix ``c`` maps through the odometer applied ``power``
-    times.  Row cylinders and row images must both partition the space
+    Rows ``(cylinder letters, power)`` with the cylinders partitioning the
+    space; a point with prefix ``c`` maps through the odometer applied
+    ``power`` times.  Row cylinders and row images must both partition the space
     (checked at construction).  A power may be any integer: refinement in
     ``compose`` stops at the depth of the rows, whatever the powers.
     """
@@ -571,17 +551,14 @@ class FullGroupTable:
     __slots__ = ("alphabet", "rows")
 
     def __init__(self, rows):
-        self.alphabet = Alphabet(2)
-        norm = []
-        for c, k in rows:
-            letters = c.letters if isinstance(c, Word) else tuple(int(ch) for ch in str(c))
-            norm.append((letters, int(k)))
-        if not norm:
+        self.alphabet = BINARY
+        rows = list(rows)
+        if not rows:
             raise IncompleteCode("table must have at least one row")
-        _validate_code([c for c, _ in norm], 2, "domain")
-        images = [odometer_word_image(c, k) for c, k in norm]
+        _validate_code([c for c, _ in rows], 2, "domain")
+        images = [odometer_word_image(c, k) for c, k in rows]
         _validate_code(images, 2, "range")
-        self.rows = _merge_siblings(norm, 2, _merge_powers)
+        self.rows = _merge_siblings(rows, 2, _merge_powers)
 
     def __eq__(self, other):
         return isinstance(other, FullGroupTable) and self.rows == other.rows
@@ -595,11 +572,11 @@ class FullGroupTable:
 
     @classmethod
     def identity(cls) -> "FullGroupTable":
-        return cls([(Word(()), 0)])
+        return cls([((), 0)])
 
     @classmethod
     def odometer(cls, power: int = 1) -> "FullGroupTable":
-        return cls([(Word(()), power)])
+        return cls([((), power)])
 
     def _check_family(self, other):
         if not isinstance(other, FullGroupTable):
@@ -612,23 +589,18 @@ class FullGroupTable:
             raise UnresolvedWord(f"word {word} shorter than resolution depth {self.resolution_depth()}")
         return odometer_word_image(letters, row[1])
 
-    def act_word(self, w: Word) -> Word:
-        self.alphabet.check(w.alphabet)
-        return Word(self.act_letters(w.letters), self.alphabet)
-
     def act_point(self, x: BoundaryPoint) -> BoundaryPoint:
         self.alphabet.check(x.alphabet)
         _, k = _lookup(self.rows, x.prefix(self.resolution_depth()).letters)
         return _transduce(_odometer_step, k, x)
 
-    def section(self, w: Word) -> "FullGroupTable":
-        self.alphabet.check(w.alphabet)
-        row = _lookup(self.rows, w.letters)
+    def section(self, letters) -> "FullGroupTable":
+        row = _lookup(self.rows, letters)
         if row is None:
-            raise UnresolvedWord(f"word {w} does not resolve a row")
+            raise UnresolvedWord(f"word {Word(letters, self.alphabet)} does not resolve a row")
         _, k = row
-        carry = (_word_value(w.letters) + k) >> len(w.letters)
-        return FullGroupTable([(Word(()), carry)])
+        carry = (_word_value(letters) + k) >> len(letters)
+        return FullGroupTable([((), carry)])
 
     def compose(self, other) -> "FullGroupTable":
         self._check_family(other)
@@ -638,7 +610,7 @@ class FullGroupTable:
             image = odometer_word_image(c, k)
             row = _lookup(self.rows, image)
             if row is not None:
-                out.append((Word(c), k + row[1]))
+                out.append((c, k + row[1]))
             else:
                 carry = (_word_value(c) + k) >> len(c)
                 for b in (0, 1):
@@ -650,9 +622,7 @@ class FullGroupTable:
         return FullGroupTable(out)
 
     def inverse(self) -> "FullGroupTable":
-        return FullGroupTable(
-            [(Word(odometer_word_image(c, k)), -k) for c, k in self.rows]
-        )
+        return FullGroupTable([(odometer_word_image(c, k), -k) for c, k in self.rows])
 
     def is_identity(self, budget: int = 512) -> Tri:
         return Tri.YES if all(k == 0 for _, k in self.rows) else Tri.NO

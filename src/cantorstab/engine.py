@@ -100,14 +100,13 @@ def fixes_cylinder_pointwise(g: GroupElement, c: Cylinder, budget: int = DEFAULT
     Where the prefix resolves no rule of g, the check refines to
     sub-cylinders; every sub-cylinder of one rule shares that rule's verdict.
     """
-    prefix = c.prefix
+    g.alphabet.check(c.alphabet)
+    prefix = c.prefix.letters
     try:
-        image = g.act_word(prefix)
+        image = g.act_letters(prefix)
     except UnresolvedWord:
         return tri_all(
-            fixes_cylinder_pointwise(
-                g, Cylinder(Word(prefix.letters + (a,), c.alphabet)), budget
-            )
+            fixes_cylinder_pointwise(g, Cylinder(Word(prefix + (a,), c.alphabet)), budget)
             for a in c.alphabet.letters()
         )
     if image != prefix:
@@ -172,15 +171,15 @@ def _germ_walk(g: GroupElement, x: BoundaryPoint, budget: int) -> GermVerdict:
         verdicts.append(fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget))
         if verdicts[-1] is Tri.YES:
             return GermVerdict(GermKind.TRIVIAL, n)
-    prefix = x.prefix(start)
+    prefix = x.prefix(start).letters
     # only a prefix rule u -> v with u != v fails here, and then at every depth
-    if g.act_word(prefix) == prefix:
+    if g.act_letters(prefix) == prefix:
         checked: dict = {}  # one identity test per distinct section
 
         def step(section, letter):
             if section not in checked:
                 checked[section] = section.is_identity(budget)
-            return checked[section], section.section(Word((letter,), x.alphabet))
+            return checked[section], section.section((letter,))
 
         try:
             verdicts += _run_to_cycle(step, g.section(prefix), x, start)[0]

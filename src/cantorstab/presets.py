@@ -83,7 +83,8 @@ def grigorchuk() -> GroupFamily:
 
 
 def _odometer_rist(u: Cylinder):
-    return [FullGroupTable([(u.prefix, 1 << u.depth)] + [(c.prefix, 0) for c in complement(u)])]
+    rows = [(u.prefix.letters, 1 << u.depth)] + [(c.prefix.letters, 0) for c in complement(u)]
+    return [FullGroupTable(rows)]
 
 
 def odometer_full() -> GroupFamily:
@@ -99,13 +100,10 @@ def odometer_full() -> GroupFamily:
 
 def sibling_swap(prefix: Word) -> PrefixBijection:
     """Swap the two child cylinders below ``prefix``, identity elsewhere."""
-    alphabet = prefix.alphabet
-    rules = [
-        (Word(prefix.letters + (0,), alphabet), Word(prefix.letters + (1,), alphabet)),
-        (Word(prefix.letters + (1,), alphabet), Word(prefix.letters + (0,), alphabet)),
-    ]
-    rules.extend((c.prefix, c.prefix) for c in complement(Cylinder(prefix)))
-    return PrefixBijection(rules, alphabet)
+    p = prefix.letters
+    rules = [(p + (0,), p + (1,)), (p + (1,), p + (0,))]
+    rules.extend((c.prefix.letters, c.prefix.letters) for c in complement(Cylinder(prefix)))
+    return PrefixBijection(rules, prefix.alphabet)
 
 
 PREFIX_V_RIST_RELATIVE_DEPTH = 4
@@ -120,11 +118,18 @@ def _prefix_v_rist(u: Cylinder):
     return out
 
 
+def _prefix_rules(pairs, alphabet: Alphabet) -> PrefixBijection:
+    """A prefix bijection from digit-string rules ``(u, v)``."""
+    return PrefixBijection(
+        [tuple(Word.from_string(w, alphabet).letters for w in pair) for pair in pairs], alphabet
+    )
+
+
 def prefix_v() -> GroupFamily:
     alphabet = Alphabet(2)
-    swap = PrefixBijection([("0", "1"), ("1", "0")], alphabet)
-    shift = PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")], alphabet)
-    local = PrefixBijection([("0", "0"), ("10", "11"), ("11", "10")], alphabet)
+    swap = _prefix_rules([("0", "1"), ("1", "0")], alphabet)
+    shift = _prefix_rules([("0", "00"), ("10", "01"), ("11", "1")], alphabet)
+    local = _prefix_rules([("0", "0"), ("10", "11"), ("11", "10")], alphabet)
     return GroupFamily(
         name="prefix-v",
         alphabet=alphabet,

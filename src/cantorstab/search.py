@@ -4,7 +4,7 @@ All searches are breadth-first with a fixed expansion order (declared
 generator order, direct letter before inverse), so identical inputs and
 budgets always produce identical certificates.  Orbit certificates carry a
 transporter word per reached cylinder; replaying the word through
-``act_word`` reproduces a word that is the target prefix or extends it
+``act_letters`` reproduces a word that is the target prefix or extends it
 (for families that change prefix depth, the exact image may be deeper or
 shallower than the label; a shallower image covers the label entirely).
 """
@@ -58,13 +58,6 @@ class OrbitCertificate:
     reached: dict  # depth-d prefix letters -> transporter word ((name, exp), ...)
     generator_names: tuple[str, ...]
     truncated: bool = False
-
-    def reached_cylinders(self) -> list[Cylinder]:
-        alphabet = self.seed.alphabet
-        return [Cylinder(Word(p, alphabet)) for p in sorted(self.reached)]
-
-    def complete(self, alphabet_size: int) -> bool:
-        return not self.truncated and len(self.reached) == alphabet_size**self.depth
 
 
 def orbit_budget(alphabet_size: int, depth: int) -> SearchBudget:
@@ -203,20 +196,17 @@ def rist_search(
     """Enumerate reduced generator words lying in rist(u), definitional test.
 
     Returns ``(word, element)`` pairs with in_rigid_stabiliser = YES and
-    is_identity = NO; cached per family, cylinder, and budget.
+    is_identity = NO.
     """
-    key = ("rist_search", u.prefix.letters, budget.max_word_len, id_budget)
-    if key not in family._caches:
-        found = []
-        for word, elem in reduced_generator_words(family, budget.max_word_len):
-            if not word:
-                continue
-            if elem.is_identity(id_budget) is not Tri.NO:
-                continue
-            if in_rigid_stabiliser(elem, u, id_budget) is Tri.YES:
-                found.append((word, elem))
-        family._caches[key] = tuple(found)
-    return list(family._caches[key])
+    found = []
+    for word, elem in reduced_generator_words(family, budget.max_word_len):
+        if not word:
+            continue
+        if elem.is_identity(id_budget) is not Tri.NO:
+            continue
+        if in_rigid_stabiliser(elem, u, id_budget) is Tri.YES:
+            found.append((word, elem))
+    return found
 
 
 def rist_generators(

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-from .space import Alphabet, Cylinder, parse_point
+from .space import BINARY, Alphabet, Cylinder, Word, parse_point
 from .elements import (
     ACT_POINT_STATE_BUDGET,
     FamilyMismatch,
@@ -115,6 +115,10 @@ def _check_shape(obj, shape, path: str) -> None:
         raise ValueError(f"{path} must be of type {getattr(shape, '__name__', shape)}")
 
 
+def _letters(text: str, alphabet: Alphabet) -> tuple:
+    return Word.from_string(text, alphabet).letters
+
+
 def element_from_obj(obj, table: WreathTable | None = None, alphabet: Alphabet | None = None):
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in ELEMENT_SHAPES:
@@ -125,13 +129,16 @@ def element_from_obj(obj, table: WreathTable | None = None, alphabet: Alphabet |
             raise ValueError("word elements need a wreath table")
         return TreeAutomorphism(table, parse_generator_word(obj["word"]))
     if kind == "prefix":
-        return PrefixBijection(obj["rules"], alphabet or Alphabet(2))
+        alphabet = alphabet or BINARY
+        return PrefixBijection(
+            [(_letters(u, alphabet), _letters(v, alphabet)) for u, v in obj["rules"]], alphabet
+        )
     for n, (_, k) in enumerate(obj["rows"]):
         # a carry this long cannot settle within the point-action budget
         if k.bit_length() > ACT_POINT_STATE_BUDGET:
             raise ValueError(f"table element.rows[{n}]: power of {k.bit_length()} bits "
                              f"exceeds {ACT_POINT_STATE_BUDGET} bits")
-    return FullGroupTable([(c, k) for c, k in obj["rows"]])
+    return FullGroupTable([(_letters(c, BINARY), int(k)) for c, k in obj["rows"]])
 
 
 def family_table(family) -> WreathTable | None:
@@ -221,6 +228,7 @@ def certificate_from_obj(obj: dict, family) -> ConjugatorCertificate:
     alphabet = Alphabet(obj["alphabet"])
     if family.name != obj["family"]:
         raise ValueError(f"certificate family {obj['family']!r} != {family.name!r}")
+    family.alphabet.check(alphabet)
     if not obj["stages"]:
         raise ValueError("certificate stages must be a nonempty list")
     table = family_table(family)

@@ -1,6 +1,15 @@
 import pytest
 
-from cantorstab import ConjugatorCertificate, TreeAutomorphism, grigorchuk, odometer_full, prefix_v
+from cantorstab import (
+    ConjugatorCertificate,
+    FullGroupTable,
+    PrefixBijection,
+    TreeAutomorphism,
+    Word,
+    grigorchuk,
+    odometer_full,
+    prefix_v,
+)
 from cantorstab.presets import GRIGORCHUK_TABLE
 
 
@@ -25,6 +34,21 @@ def grig_gen(name):
 
 def grig_word(letters):
     return TreeAutomorphism(GRIGORCHUK_TABLE, tuple((n, 1) for n in letters))
+
+
+def L(text):
+    """Letter tuple of a binary digit string."""
+    return Word.from_string(text).letters
+
+
+def prefix_bijection(*rules):
+    """Binary prefix bijection from digit-string rules ``(u, v)``."""
+    return PrefixBijection([(L(u), L(v)) for u, v in rules])
+
+
+def table(*rows):
+    """Full-group table from rows ``(digit string, power)``."""
+    return FullGroupTable([(L(c), k) for c, k in rows])
 
 
 def with_corrections(cert, corrections):

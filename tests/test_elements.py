@@ -16,15 +16,15 @@ from cantorstab import (
     TreeAutomorphism,
     Tri,
     UnresolvedWord,
-    Word,
     WreathTable,
+    first_disagreement,
     parse_generator_word,
     parse_point,
 )
 from cantorstab.elements import ACT_POINT_STATE_BUDGET, SECTION_CACHE_LIMIT
 from cantorstab.presets import GRIGORCHUK_TABLE
 
-from conftest import grig_gen, grig_word
+from conftest import L, grig_gen, grig_word, prefix_bijection, table
 
 BIN = Alphabet(2)
 
@@ -35,8 +35,9 @@ def tau_tree():
     return TreeAutomorphism.generator(ODOMETER_TABLE, "t")
 
 
-def W(text):
-    return Word.from_string(text)
+def act(g, text):
+    """Image of a binary digit string under g, as a digit string."""
+    return "".join(map(str, g.act_letters(L(text))))
 
 
 # -- independent oracle: textbook recursion on strings ------------------
@@ -65,30 +66,30 @@ def grig_apply_word(letters, w):
     return w
 
 
-# -- act_word ------------------------------------------------------------
+# -- act_letters ---------------------------------------------------------
 
 
 def test_act_word_a():
-    assert str(grig_gen("a").act_word(W("011"))) == "111"
+    assert act(grig_gen("a"), "011") == "111"
 
 
 def test_act_word_b():
-    assert str(grig_gen("b").act_word(W("011"))) == "001"
+    assert act(grig_gen("b"), "011") == "001"
 
 
 def test_act_word_odometer_carry():
-    assert str(tau_tree().act_word(W("11"))) == "00"
+    assert act(tau_tree(), "11") == "00"
 
 
 def test_act_word_prefix_bijection():
-    g = PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")])
-    assert str(g.act_word(W("101"))) == "011"
+    g = prefix_bijection(("0", "00"), ("10", "01"), ("11", "1"))
+    assert act(g, "101") == "011"
 
 
 @given(st.text(alphabet="abcd", min_size=0, max_size=6), st.text(alphabet="01", min_size=0, max_size=8))
 def test_act_word_matches_textbook_recursion(letters, w):
     elem = grig_word(letters)
-    assert str(elem.act_word(W(w))) == grig_apply_word(letters, w)
+    assert act(elem, w) == grig_apply_word(letters, w)
 
 
 # -- act_point -----------------------------------------------------------
@@ -117,7 +118,7 @@ def test_act_point_prefix_agrees_with_act_word(letters, pre, per):
     x = BoundaryPoint(pre, per)
     image = elem.act_point(x)
     for n in (1, 4, 9):
-        assert image.prefix(n) == elem.act_word(x.prefix(n))
+        assert image.prefix(n).letters == elem.act_letters(x.prefix(n).letters)
 
 
 def test_act_point_eventual_period_bound():
@@ -129,7 +130,7 @@ def test_act_point_eventual_period_bound():
     while stack:
         e = stack.pop()
         for letter in (0, 1):
-            s = e.section_at(letter)
+            s = e.section((letter,))
             if s.word not in closure:
                 closure.add(s.word)
                 stack.append(s)
@@ -141,9 +142,9 @@ def test_act_point_eventual_period_bound():
 
 
 def test_section_examples():
-    assert grig_gen("b").section(W("1")) == grig_gen("c")
-    assert grig_gen("d").section(W("0")).is_identity() is Tri.YES
-    assert tau_tree().section(W("1")) == tau_tree()
+    assert grig_gen("b").section((1,)) == grig_gen("c")
+    assert grig_gen("d").section((0,)).is_identity() is Tri.YES
+    assert tau_tree().section((1,)) == tau_tree()
 
 
 @given(
@@ -154,8 +155,8 @@ def test_section_examples():
 @settings(max_examples=80)
 def test_section_law(letters, w, s):
     g = grig_word(letters)
-    lhs = g.act_word(W(w + s))
-    rhs = g.act_word(W(w)).concat(g.section(W(w)).act_word(W(s)))
+    lhs = g.act_letters(L(w + s))
+    rhs = g.act_letters(L(w)) + g.section(L(w)).act_letters(L(s))
     assert lhs == rhs
 
 
@@ -243,22 +244,22 @@ def test_compose_involution():
 
 
 def test_invert_odometer():
-    assert str(tau_tree().inverse().act_word(W("10"))) == "00"
+    assert act(tau_tree().inverse(), "10") == "00"
 
 
 def test_compose_identity_law():
     g = grig_word("abac")
     ident = g.identity_like()
     for w in ("", "0110011001", "1111111111"):
-        assert g.compose(ident).act_word(W(w)) == g.act_word(W(w))
-        assert ident.compose(g).act_word(W(w)) == g.act_word(W(w))
+        assert act(g.compose(ident), w) == act(g, w)
+        assert act(ident.compose(g), w) == act(g, w)
 
 
 def test_family_mismatch():
     with pytest.raises(FamilyMismatch):
         grig_gen("a").compose(tau_tree())
     with pytest.raises(FamilyMismatch):
-        FullGroupTable.odometer().compose(PrefixBijection([("", "")]))
+        FullGroupTable.odometer().compose(PrefixBijection([((), ())]))
 
 
 @given(
@@ -270,17 +271,16 @@ def test_family_mismatch():
 @settings(max_examples=60)
 def test_group_laws_under_act_word(u, v, w, test_word):
     gu, gv, gw = grig_word(u), grig_word(v), grig_word(w)
-    tw = W(test_word)
     # associativity
-    assert gu.compose(gv).compose(gw).act_word(tw) == gu.compose(gv.compose(gw)).act_word(tw)
+    assert act(gu.compose(gv).compose(gw), test_word) == act(gu.compose(gv.compose(gw)), test_word)
     # inverse law
-    assert gu.compose(gu.inverse()).act_word(tw) == tw
-    assert gu.inverse().compose(gu).act_word(tw) == tw
+    assert act(gu.compose(gu.inverse()), test_word) == test_word
+    assert act(gu.inverse().compose(gu), test_word) == test_word
 
 
 @given(st.text(alphabet="abcd", max_size=5), st.text(alphabet="01", max_size=8))
 def test_depth_preservation(letters, w):
-    assert len(grig_word(letters).act_word(W(w))) == len(w)
+    assert len(act(grig_word(letters), w)) == len(w)
 
 
 # -- is_identity ---------------------------------------------------------
@@ -347,44 +347,54 @@ def test_localized_generator_conjugation():
 
 def test_resolution_depths():
     assert grig_word("abcd").resolution_depth() == 0
-    assert PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")]).resolution_depth() == 2
-    assert FullGroupTable([("", 0)]).resolution_depth() == 0
+    assert prefix_bijection(("0", "00"), ("10", "01"), ("11", "1")).resolution_depth() == 2
+    assert table(("", 0)).resolution_depth() == 0
     # computed once, at construction, on the merged rule set
-    assert PrefixBijection([("00", "00"), ("01", "01"), ("1", "1")]).resolution_depth() == 0
+    assert prefix_bijection(("00", "00"), ("01", "01"), ("1", "1")).resolution_depth() == 0
 
 
 def test_unresolved_word_error():
-    g = PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")])
+    g = prefix_bijection(("0", "00"), ("10", "01"), ("11", "1"))
     with pytest.raises(UnresolvedWord):
-        g.act_word(W("1"))
+        g.act_letters((1,))
 
 
 # -- validation ----------------------------------------------------------
 
 
 def test_validate_prefix_ok():
-    PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")])
+    prefix_bijection(("0", "00"), ("10", "01"), ("11", "1"))
 
 
 def test_validate_prefix_not_bijective():
     with pytest.raises(NotBijective):
-        PrefixBijection([("0", "00"), ("1", "01")])
+        prefix_bijection(("0", "00"), ("1", "01"))
 
 
 def test_validate_prefix_incomplete():
     with pytest.raises(IncompleteCode):
-        PrefixBijection([("0", "0")])
+        prefix_bijection(("0", "0"))
 
 
 def test_validate_table_swap():
-    g = FullGroupTable([("0", 1), ("1", -1)])
-    assert str(g.act_word(W("0"))) == "1"
-    assert str(g.act_word(W("1"))) == "0"
+    g = table(("0", 1), ("1", -1))
+    assert act(g, "0") == "1"
+    assert act(g, "1") == "0"
 
 
 def test_validate_table_not_bijective():
     with pytest.raises(NotBijective):
-        FullGroupTable([("0", 0), ("1", 1)])
+        table(("0", 0), ("1", 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FullGroupTable([((0,), 1), ((2,), 0)]),
+    lambda: PrefixBijection([((0,), (1,)), ((1,), (0,)), ((2,), (2,))]),
+    lambda: PrefixBijection([((0,), (0,)), ((1,), (1,)), ((2,), (3,))], Alphabet(3)),
+], ids=["table-domain", "prefix-domain", "prefix-range"])
+def test_validate_letter_outside_alphabet(build):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        build()
 
 
 # -- cross representation ------------------------------------------------
@@ -397,7 +407,7 @@ def test_odometer_tree_vs_table_to_depth_12():
     for depth in range(1, 13):
         words = [w + (b,) for w in words for b in (0, 1)]
         for w in words:
-            assert tree.act_word(Word(w)) == table.act_word(Word(w))
+            assert tree.act_letters(w) == table.act_letters(w)
 
 
 def test_odometer_tree_vs_table_on_points():
@@ -430,13 +440,13 @@ def test_table_compose_matches_pointwise():
 
 def test_table_section_is_carry_power():
     t2 = FullGroupTable.odometer(2)
-    section = t2.section(W("1"))
+    section = t2.section((1,))
     # adding 2 to 1... consumes the first letter with carry 1
     assert section == FullGroupTable.odometer(1)
 
 
 def test_prefix_compose_and_inverse():
-    g = PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")])
+    g = prefix_bijection(("0", "00"), ("10", "01"), ("11", "1"))
     gi = g.inverse()
     for text in ("(0)", "(10)", "11(0)", "0101(1)"):
         p = parse_point(text)
@@ -445,8 +455,8 @@ def test_prefix_compose_and_inverse():
 
 
 def test_prefix_section_identity_beyond_resolution():
-    g = PrefixBijection([("0", "00"), ("10", "01"), ("11", "1")])
-    assert g.section(W("10")).is_identity() is Tri.YES
+    g = prefix_bijection(("0", "00"), ("10", "01"), ("11", "1"))
+    assert g.section((1, 0)).is_identity() is Tri.YES
 
 
 # -- generator word syntax ------------------------------------------------
@@ -517,14 +527,14 @@ def test_prefix_compose_matches_on_words(names, w):
     composed = reduce(lambda a, b: a.compose(b), gens)
     if len(w) < composed.resolution_depth():
         return
-    expected = W(w)
+    expected = L(w)
     for g in reversed(gens):
         if len(expected) < g.resolution_depth():
             return
-        expected = g.act_word(expected)
-    image = composed.act_word(W(w))
+        expected = g.act_letters(expected)
+    image = composed.act_letters(L(w))
     shorter = min(len(image), len(expected))
-    assert image.letters[:shorter] == expected.letters[:shorter]
+    assert image[:shorter] == expected[:shorter]
 
 
 def test_localization_coheres_with_one_level_embeddings():
@@ -574,12 +584,15 @@ preset_products = st.sampled_from(
 
 @given(preset_products, st.lists(st.integers(0, 1), max_size=6).map(tuple))
 @settings(max_examples=200, deadline=None)
-def test_act_letters_agrees_with_act_word(g, letters):
+def test_act_letters_agrees_with_act_point(g, letters):
+    # g maps the cylinder [w] onto the cylinder [g(w)]: the images of w0000...
+    # and w1111... share the prefix g(w) and differ right after it
     try:
-        expected = g.act_word(Word(letters, g.alphabet)).letters
+        image = g.act_letters(letters)
     except UnresolvedWord:
+        # only a word shorter than the resolution depth can resolve no rule
         assert len(letters) < g.resolution_depth()
-        with pytest.raises(UnresolvedWord):
-            g.act_letters(letters)
-    else:
-        assert g.act_letters(letters) == expected
+        return
+    zeros, ones = (g.act_point(BoundaryPoint(letters, (a,))) for a in (0, 1))
+    assert zeros.prefix(len(image)).letters == image
+    assert first_disagreement(zeros, ones) == len(image)

@@ -22,7 +22,7 @@ from cantorstab.elements import tri_all
 from cantorstab.engine import DEFAULT_ID_BUDGET, generator_moves, reduced_generator_words
 from cantorstab.presets import PRESETS
 
-from conftest import grig_gen, grig_word
+from conftest import grig_gen, grig_word, table
 
 cyl = Cylinder.from_string
 pt = parse_point
@@ -55,11 +55,9 @@ def test_fixes_cylinder_examples(grig):
 
 def test_fixes_cylinder_refines_below_resolution(odometer):
     # depth-1 cylinder, resolution-2 element: verdict via refinement
-    from cantorstab import FullGroupTable
-
-    g = FullGroupTable([("00", 0), ("01", 0), ("1", 0)])
+    g = table(("00", 0), ("01", 0), ("1", 0))
     assert fixes_cylinder_pointwise(g, cyl("0"), 8) is Tri.YES
-    swap = FullGroupTable([("00", 2), ("01", -2), ("1", 0)])
+    swap = table(("00", 2), ("01", -2), ("1", 0))
     assert fixes_cylinder_pointwise(swap, cyl("0"), 8) is Tri.NO
 
 
@@ -91,9 +89,9 @@ def reference_fixes_cylinder_pointwise(g, c, budget=DEFAULT_ID_BUDGET):
             )
             for a in c.alphabet.letters()
         )
-    if g.act_word(prefix) != prefix:
+    if g.act_letters(prefix.letters) != prefix.letters:
         return Tri.NO
-    return g.section(prefix).is_identity(budget)
+    return g.section(prefix.letters).is_identity(budget)
 
 
 def reference_in_rigid_stabiliser(g, u, budget=DEFAULT_ID_BUDGET):
