@@ -6,12 +6,10 @@ from .space import (
     AlphabetMismatch,
     BoundaryPoint,
     Cylinder,
-    CylinderRelation,
     DepthSchedule,
     Word,
     complement,
     contains_point,
-    cylinder_relation,
     cylinders_at_depth,
     first_disagreement,
     parse_point,

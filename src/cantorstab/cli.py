@@ -17,8 +17,8 @@ Input grammar
              ``[["cylinder", power], ...]``.
 
 Budgets (``--id-budget``, ``--maxlen``, ``--rist-maxlen``, ``--max-states``)
-and ``conjugate --depth`` must be at least 1; ``orbit --maxlen 0`` means no
-cap.  ``conjugate --maxlen`` is the exact word-length cap of each stage's
+and ``conjugate --depth`` must be at least 1, ``verify --samples`` at least
+0; ``orbit --maxlen 0`` means no cap.  ``conjugate --maxlen`` is the exact word-length cap of each stage's
 transporter search.  Germ verdicts need no depth bound.
 
 Certificates are written as ``cantorstab/certificate-v2``, which stores
@@ -68,12 +68,18 @@ EXIT_BUDGET = 4
 DEFAULT_SEARCH_MAXLEN = 10
 
 
-def positive_int(text: str) -> int:
-    """Argument type of a budget or depth: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """Argument type of an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+positive_int = int_at_least(1)  # budgets and depths
 
 
 def load_family(spec: str) -> GroupFamily:
@@ -260,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify a certificate file")
     common(p)
     p.add_argument("--cert", required=True)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=int_at_least(0), default=0,
                    help="also run the conjugation suite on N rigid-stabiliser samples")
     p.set_defaults(func=cmd_verify)
 

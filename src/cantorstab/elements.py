@@ -184,10 +184,6 @@ class WreathTable:
             self._states[word] = cached
         return cached
 
-    def section_word(self, word, letter: int) -> tuple:
-        """Reduced word of the section at ``letter`` of the element ``word``."""
-        return self.state(word)[1][letter]
-
     def reduce(self, word) -> tuple:
         """Free reduction plus involution rewriting of a generator word."""
         out: list = []
@@ -286,7 +282,7 @@ class TreeAutomorphism:
     def section(self, letters) -> "TreeAutomorphism":
         word = self.word
         for letter in letters:
-            word = self.table.section_word(word, letter)
+            word = self.table.state(word)[1][letter]
         return TreeAutomorphism(self.table, word)
 
     def compose(self, other) -> "TreeAutomorphism":

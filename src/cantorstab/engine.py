@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .space import Alphabet, BoundaryPoint, Cylinder, Word, complement
+from .space import Alphabet, BoundaryPoint, Cylinder, complement
 from .elements import (
     GroupElement,
     NoCycleWithinBound,
@@ -94,21 +94,17 @@ def stabilises(g: GroupElement, x: BoundaryPoint) -> Tri:
         return Tri.UNKNOWN
 
 
-def fixes_cylinder_pointwise(g: GroupElement, c: Cylinder, budget: int = DEFAULT_ID_BUDGET) -> Tri:
-    """YES iff g maps the cylinder to itself and acts trivially beyond it.
+def fixes_cylinder_pointwise(g: GroupElement, prefix: tuple, budget: int = DEFAULT_ID_BUDGET) -> Tri:
+    """YES iff g maps the cylinder of ``prefix`` (a letter tuple) to itself
+    and acts trivially beyond it.
 
     Where the prefix resolves no rule of g, the check refines to
     sub-cylinders; every sub-cylinder of one rule shares that rule's verdict.
     """
-    g.alphabet.check(c.alphabet)
-    prefix = c.prefix.letters
     try:
         image = g.act_letters(prefix)
     except UnresolvedWord:
-        return tri_all(
-            fixes_cylinder_pointwise(g, Cylinder(Word(prefix + (a,), c.alphabet)), budget)
-            for a in c.alphabet.letters()
-        )
+        return tri_all(fixes_cylinder_pointwise(g, prefix + (a,), budget) for a in g.alphabet.letters())
     if image != prefix:
         return Tri.NO
     return g.section(prefix).is_identity(budget)
@@ -116,6 +112,7 @@ def fixes_cylinder_pointwise(g: GroupElement, c: Cylinder, budget: int = DEFAULT
 
 def in_rigid_stabiliser(g: GroupElement, u: Cylinder, budget: int = DEFAULT_ID_BUDGET) -> Tri:
     """YES iff g fixes the complement of u pointwise, sibling by sibling."""
+    g.alphabet.check(u.alphabet)
     return tri_all(fixes_cylinder_pointwise(g, c, budget) for c in complement(u))
 
 
@@ -168,7 +165,7 @@ def _germ_walk(g: GroupElement, x: BoundaryPoint, budget: int) -> GermVerdict:
     start = max(g.resolution_depth(), 1)
     verdicts = []  # verdicts[n - 1] is the verdict at depth n
     for n in range(1, start):
-        verdicts.append(fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget))
+        verdicts.append(fixes_cylinder_pointwise(g, x.prefix(n).letters, budget))
         if verdicts[-1] is Tri.YES:
             return GermVerdict(GermKind.TRIVIAL, n)
     prefix = x.prefix(start).letters

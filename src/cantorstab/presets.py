@@ -83,7 +83,7 @@ def grigorchuk() -> GroupFamily:
 
 
 def _odometer_rist(u: Cylinder):
-    rows = [(u.prefix.letters, 1 << u.depth)] + [(c.prefix.letters, 0) for c in complement(u)]
+    rows = [(u.prefix.letters, 1 << u.depth)] + [(c, 0) for c in complement(u)]
     return [FullGroupTable(rows)]
 
 
@@ -102,7 +102,7 @@ def sibling_swap(prefix: Word) -> PrefixBijection:
     """Swap the two child cylinders below ``prefix``, identity elsewhere."""
     p = prefix.letters
     rules = [(p + (0,), p + (1,)), (p + (1,), p + (0,))]
-    rules.extend((c.prefix.letters, c.prefix.letters) for c in complement(Cylinder(prefix)))
+    rules.extend((c, c) for c in complement(Cylinder(prefix)))
     return PrefixBijection(rules, prefix.alphabet)
 
 

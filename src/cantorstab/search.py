@@ -95,10 +95,7 @@ def cylinder_orbit(
         if len(node) >= depth:
             reached.setdefault(node[:depth], word)
         else:
-            suffixes = [()]
-            for _ in range(depth - len(node)):
-                suffixes = [s + (a,) for s in suffixes for a in alphabet.letters()]
-            for s in suffixes:
+            for s in cylinders_at_depth(alphabet, depth - len(node)):
                 reached.setdefault(node + s, word)
 
     start = seed.prefix.letters
@@ -170,18 +167,14 @@ def minimality_witness(
 
 def _orbit_witness(named_generators, u: Cylinder, depth: int, budget) -> MinimalityWitness:
     """Whether every depth-d sub-cylinder of u reaches every other one."""
-    alphabet = u.alphabet
-    seeds = [
-        Cylinder(Word(u.prefix.letters + c.prefix.letters, alphabet))
-        for c in cylinders_at_depth(alphabet, depth - u.depth)
-    ]
-    targets = {c.prefix.letters for c in seeds}
+    seeds = [u.prefix.letters + s for s in cylinders_at_depth(u.alphabet, depth - u.depth)]
+    targets = set(seeds)
     certificates = {}
     ok = True
     truncated = False
     for seed in seeds:
-        cert = cylinder_orbit(named_generators, seed, depth, budget)
-        certificates[seed.prefix.letters] = cert
+        cert = cylinder_orbit(named_generators, Cylinder(Word(seed, u.alphabet)), depth, budget)
+        certificates[seed] = cert
         ok = ok and targets <= cert.reached.keys()
         truncated = truncated or cert.truncated
     return MinimalityWitness(depth=depth, ok=ok, truncated=truncated, certificates=certificates)
@@ -243,23 +236,18 @@ def transporter(
     rist_gens,
     current: BoundaryPoint,
     target_prefix: Word,
+    identity: GroupElement,
     budget: SearchBudget = SearchBudget(),
-    identity: GroupElement | None = None,
 ) -> GroupElement:
     """Shortest product of the given elements moving ``current`` into the
-    target cylinder; BFS over exact point images."""
+    target cylinder; BFS over exact point images, starting from
+    ``identity``."""
     n = len(target_prefix)
     if current.prefix(n) == target_prefix:
-        if identity is not None:
-            return identity
-        if rist_gens:
-            return rist_gens[0].identity_like()
-        raise SearchExhausted("no generators and no identity prototype")
-    if not rist_gens:
-        raise SearchExhausted("no generators to search over")
+        return identity
     moves = generator_moves([(f"r{i}", g) for i, g in enumerate(rist_gens)])
     visited = {current}
-    queue = deque([(current, identity or rist_gens[0].identity_like(), 0)])
+    queue = deque([(current, identity, 0)])
     while queue:
         point, elem, length = queue.popleft()
         if length >= budget.max_word_len:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 
 class AlphabetMismatch(ValueError):
@@ -22,13 +21,15 @@ class AlphabetMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Finite alphabet {0, ..., size-1}, size >= 2."""
+    """Finite alphabet {0, ..., size-1}, 2 <= size <= 10: every text form
+    (points, digit words, table rows, ``g@v`` paths) writes one digit per
+    letter."""
 
     size: int
 
     def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.size}")
+        if not 2 <= self.size <= 10:
+            raise ValueError(f"alphabet size must be 2 to 10, got {self.size}")
 
     def letters(self) -> range:
         return range(self.size)
@@ -55,8 +56,6 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, alphabet: Alphabet = BINARY) -> "Word":
-        if alphabet.size > 10:
-            raise ValueError("digit encoding supports alphabets of size <= 10")
         if not re.fullmatch(r"[0-9]*", text):
             raise ValueError(f"word must be a digit string, got {text!r}")
         return cls(tuple(int(ch) for ch in text), alphabet)
@@ -69,10 +68,6 @@ class Word:
 
     def __getitem__(self, i):
         return self.letters[i]
-
-    def concat(self, other: "Word") -> "Word":
-        self.alphabet.check(other.alphabet)
-        return Word(self.letters + other.letters, self.alphabet)
 
     def __str__(self) -> str:
         return "".join(str(a) for a in self.letters)
@@ -104,26 +99,6 @@ class Cylinder:
 
     def __repr__(self) -> str:
         return f"Cylinder({str(self.prefix)!r})"
-
-
-class CylinderRelation(Enum):
-    EQUAL = "equal"
-    CONTAINS = "contains"
-    CONTAINED = "contained"
-    DISJOINT = "disjoint"
-
-
-def cylinder_relation(c1: Cylinder, c2: Cylinder) -> CylinderRelation:
-    """Containment relation of two cylinders; CONTAINS means c1 is strictly larger."""
-    c1.alphabet.check(c2.alphabet)
-    p1, p2 = c1.prefix.letters, c2.prefix.letters
-    if p1 == p2:
-        return CylinderRelation.EQUAL
-    if p2[: len(p1)] == p1:
-        return CylinderRelation.CONTAINS
-    if p1[: len(p2)] == p2:
-        return CylinderRelation.CONTAINED
-    return CylinderRelation.DISJOINT
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,8 +172,6 @@ def parse_point(text: str, alphabet: Alphabet = BINARY) -> BoundaryPoint:
     m = _POINT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"point must have the form 'u(v)', got {text!r}")
-    if alphabet.size > 10:
-        raise ValueError("digit encoding supports alphabets of size <= 10")
     pre = tuple(int(ch) for ch in m.group(1))
     per = tuple(int(ch) for ch in m.group(2))
     return BoundaryPoint(pre, per, alphabet)
@@ -227,20 +200,21 @@ def contains_point(c: Cylinder, x: BoundaryPoint) -> bool:
     return x.prefix(c.depth) == c.prefix
 
 
-def cylinders_at_depth(alphabet: Alphabet, depth: int) -> list[Cylinder]:
-    """All alphabet.size**depth cylinders of the given depth, lexicographic."""
+def cylinders_at_depth(alphabet: Alphabet, depth: int) -> list[tuple[int, ...]]:
+    """The prefixes, as letter tuples, of all alphabet.size**depth cylinders
+    of the given depth, lexicographic."""
     out = [()]
     for _ in range(depth):
         out = [w + (a,) for w in out for a in alphabet.letters()]
-    return [Cylinder(Word(w, alphabet)) for w in out]
+    return out
 
 
-def complement(c: Cylinder) -> list[Cylinder]:
-    """The (size-1)*depth siblings of c's prefixes, shallowest first, then
-    by letter: the cylinders partitioning the space outside c."""
+def complement(c: Cylinder) -> list[tuple[int, ...]]:
+    """The prefixes, as letter tuples, of the (size-1)*depth siblings of c's
+    prefixes, shallowest first, then by letter: the cylinders partitioning
+    the space outside c."""
     path = c.prefix.letters
-    siblings = (path[:j] + (a,) for j in range(len(path)) for a in c.alphabet.letters() if a != path[j])
-    return [Cylinder(Word(s, c.alphabet)) for s in siblings]
+    return [path[:j] + (a,) for j in range(len(path)) for a in c.alphabet.letters() if a != path[j]]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ ODO_WREATH = {
     "public": ["t"],
 }
 
+# a well-formed odometer on 11 letters, which no digit text can address
+ODO_WREATH_11 = {
+    "type": "wreath", "name": "odo-11", "alphabet": 11,
+    "generators": {"t": {"perm": [*range(1, 11), 0], "sections": [None] * 10 + ["t"]}},
+    "public": ["t"],
+}
+
 # the odometer alone as a table family: no oracle, no proper rigid stabilisers
 BARE_TABLE = {"type": "table", "name": "bare", "alphabet": 2, "generators": {"t": [["", 1]]}}
 
@@ -272,6 +279,20 @@ def test_budget_below_one_exit_2(argv):
     assert "must be >= 1" in proc.stderr
 
 
+def test_negative_samples_exit_2():
+    proc = run_cli("verify", "--family", "grigorchuk", "--cert", "cert.json", "--samples", "-1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["cantorstab verify: error: argument --samples: must be >= 0, got -1"]
+
+
+def test_alphabet_11_rejected_at_load():
+    # before any command reads a digit word
+    with pytest.raises(ValueError, match="alphabet size must be 2 to 10, got 11"):
+        serialize.family_from_obj(ODO_WREATH_11)
+
+
 def test_rist_takes_no_max_states():
     # rist_search reads only the word-length cap
     proc = run_cli("rist", "--family", "grigorchuk", "--cylinder", "1", "--max-states", "10")
@@ -316,8 +337,9 @@ def test_custom_wreath_family_file(tmp_path):
      "public": ["t", "s"]},
     # a row letter outside the binary alphabet
     {"type": "table", "generators": {"t": [["0", 1], ["2", 0]]}},
+    ODO_WREATH_11,
 ], ids=["generators-int", "alphabet-str", "perm-str", "margin-list", "section-path-digit",
-        "table-row-letter"])
+        "table-row-letter", "alphabet-11"])
 def test_malformed_family_file_exit_2(tmp_path, family):
     family_path = tmp_path / "family.json"
     family_path.write_text(json.dumps(family))
@@ -453,5 +475,5 @@ def test_verify_long_period_point_definite(tmp_path):
     proc = run_cli("verify", "--family", "grigorchuk", "--cert", str(cert_path), "--format", "json")
     assert proc.returncode == 0 and proc.stderr == ""
     checks = json.loads(proc.stdout)["canonical"]["checks"]
-    assert len(checks) == 1 + 4 * 6
+    assert len(checks) == 1 + 3 * 6
     assert {c["status"] for c in checks} == {"PASS"}

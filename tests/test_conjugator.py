@@ -138,7 +138,7 @@ def test_verify_detects_change_below_depth_outside_u(grig, grig_cert):
     bad = with_corrections(grig_cert, corrections)
     assert bad.stages[3].g == grig_cert.stages[3].g.compose(grig_gen("k1@10"))
     found = statuses(verify_certificate(bad), 3)
-    assert found["depth"] == found["y-in-V"] == found["nesting"] == "PASS"
+    assert found["depth"] == found["y-in-V"] == "PASS"
     assert found["rist"] == "FAIL"
 
 
@@ -240,7 +240,7 @@ def test_conjugate_d_lands_in_target_stabiliser(grig, grig_cert):
     assert result.stage_index == 1
     assert result.image_check is Tri.YES
     assert fixes_cylinder_pointwise(
-        result.conjugate, grig_cert.stages[1].v, 512
+        result.conjugate, grig_cert.stages[1].v.prefix.letters, 512
     ) is Tri.YES
 
 
@@ -297,8 +297,7 @@ def test_builder_unreachable_target_reports_stage(grig):
         rist=SearchBudget(max_word_len=3, max_states=500),
     )
     with pytest.raises(ConjugatorBuildError) as info:
-        build_conjugator(crippled, pt("(0)"), pt("(1)"), DepthSchedule.unit_steps(4),
-                         budgets, warn_on_nonminimal=False)
+        build_conjugator(crippled, pt("(0)"), pt("(1)"), DepthSchedule.unit_steps(4), budgets)
     assert info.value.partial.stages  # partial certificate is attached
 
 

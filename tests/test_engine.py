@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorstab import (
+    Alphabet,
+    AlphabetMismatch,
     Cylinder,
     FullGroupTable,
     GermKind,
@@ -22,7 +24,7 @@ from cantorstab.elements import tri_all
 from cantorstab.engine import DEFAULT_ID_BUDGET, generator_moves, reduced_generator_words
 from cantorstab.presets import PRESETS
 
-from conftest import grig_gen, grig_word, table
+from conftest import L, grig_gen, grig_word, table
 
 cyl = Cylinder.from_string
 pt = parse_point
@@ -48,17 +50,17 @@ def test_stabilises_identity(grig):
 
 
 def test_fixes_cylinder_examples(grig):
-    assert fixes_cylinder_pointwise(grig.generator("d"), cyl("0"), 64) is Tri.YES
-    assert fixes_cylinder_pointwise(grig.generator("b"), cyl("0"), 64) is Tri.NO
-    assert fixes_cylinder_pointwise(grig.identity, cyl("1"), 1) is Tri.YES
+    assert fixes_cylinder_pointwise(grig.generator("d"), L("0"), 64) is Tri.YES
+    assert fixes_cylinder_pointwise(grig.generator("b"), L("0"), 64) is Tri.NO
+    assert fixes_cylinder_pointwise(grig.identity, L("1"), 1) is Tri.YES
 
 
 def test_fixes_cylinder_refines_below_resolution(odometer):
     # depth-1 cylinder, resolution-2 element: verdict via refinement
     g = table(("00", 0), ("01", 0), ("1", 0))
-    assert fixes_cylinder_pointwise(g, cyl("0"), 8) is Tri.YES
+    assert fixes_cylinder_pointwise(g, L("0"), 8) is Tri.YES
     swap = table(("00", 2), ("01", -2), ("1", 0))
-    assert fixes_cylinder_pointwise(swap, cyl("0"), 8) is Tri.NO
+    assert fixes_cylinder_pointwise(swap, L("0"), 8) is Tri.NO
 
 
 # -- in_rigid_stabiliser ---------------------------------------------------
@@ -72,6 +74,13 @@ def test_rigid_stabiliser_examples(grig):
     assert in_rigid_stabiliser(grig.identity, cyl("01"), 1) is Tri.YES
 
 
+def test_rigid_stabiliser_checks_alphabet(grig):
+    # checked once on entry, also where the complement is empty
+    for prefix in ((), (2,)):
+        with pytest.raises(AlphabetMismatch):
+            in_rigid_stabiliser(grig.identity, Cylinder(Word(prefix, Alphabet(3))))
+
+
 # -- definitional references -----------------------------------------------
 # Rigid-stabiliser membership spelt out: every depth-d cylinder other than
 # u, each refined down to the element's resolution depth.  It costs |X|^d,
@@ -80,25 +89,22 @@ def test_rigid_stabiliser_examples(grig):
 # root, which only cross-checks the walk along x.
 
 
-def reference_fixes_cylinder_pointwise(g, c, budget=DEFAULT_ID_BUDGET):
-    prefix = c.prefix
+def reference_fixes_cylinder_pointwise(g, prefix, budget=DEFAULT_ID_BUDGET):
     if len(prefix) < g.resolution_depth():
         return tri_all(
-            reference_fixes_cylinder_pointwise(
-                g, Cylinder(Word(prefix.letters + (a,), c.alphabet)), budget
-            )
-            for a in c.alphabet.letters()
+            reference_fixes_cylinder_pointwise(g, prefix + (a,), budget)
+            for a in g.alphabet.letters()
         )
-    if g.act_letters(prefix.letters) != prefix.letters:
+    if g.act_letters(prefix) != prefix:
         return Tri.NO
-    return g.section(prefix.letters).is_identity(budget)
+    return g.section(prefix).is_identity(budget)
 
 
 def reference_in_rigid_stabiliser(g, u, budget=DEFAULT_ID_BUDGET):
     return tri_all(
-        reference_fixes_cylinder_pointwise(g, c, budget)
-        for c in cylinders_at_depth(u.alphabet, u.depth)
-        if c != u
+        reference_fixes_cylinder_pointwise(g, p, budget)
+        for p in cylinders_at_depth(u.alphabet, u.depth)
+        if p != u.prefix.letters
     )
 
 
@@ -111,7 +117,7 @@ def reference_in_neighbourhood_stabiliser(g, x, max_depth, budget=DEFAULT_ID_BUD
         return GermVerdict(GermKind.NOT_IN_STABILISER if st is Tri.NO else GermKind.UNKNOWN)
     saw_unknown = False
     for n in range(1, max_depth + 1):
-        verdict = reference_fixes_cylinder_pointwise(g, Cylinder(x.prefix(n)), budget)
+        verdict = reference_fixes_cylinder_pointwise(g, x.prefix(n).letters, budget)
         if verdict is Tri.YES:
             return GermVerdict(GermKind.TRIVIAL, n)
         saw_unknown |= verdict is Tri.UNKNOWN
@@ -133,7 +139,8 @@ def test_rist_membership_matches_reference(name, u, v, data):
     for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=4)):
         g = g.compose(pool[i])
     assert in_rigid_stabiliser(g, u) is reference_in_rigid_stabiliser(g, u)
-    assert fixes_cylinder_pointwise(g, u) is reference_fixes_cylinder_pointwise(g, u)
+    p = u.prefix.letters
+    assert fixes_cylinder_pointwise(g, p) is reference_fixes_cylinder_pointwise(g, p)
     # a tight budget may leave either side UNKNOWN, never two definite
     # verdicts that disagree
     for budget in (1, 4):
@@ -213,7 +220,7 @@ def test_nbhd_consistency(grig):
     verdict = in_neighbourhood_stabiliser(g, pt("(1)"), 256)
     assert verdict.kind is GermKind.TRIVIAL
     assert stabilises(g, pt("(1)")) is Tri.YES
-    assert fixes_cylinder_pointwise(g, Cylinder(pt("(1)").prefix(verdict.depth)), 256) is Tri.YES
+    assert fixes_cylinder_pointwise(g, pt("(1)").prefix(verdict.depth).letters, 256) is Tri.YES
 
 
 # -- germ classes ------------------------------------------------------------

@@ -198,14 +198,13 @@ def test_empty_rist_is_fatal():
 
 def test_transporter_single_step(odometer):
     t = odometer.generator("t")
-    h = transporter([t], parse_point("(0)"), Word.from_string("1"))
+    h = transporter([t], parse_point("(0)"), Word.from_string("1"), odometer.identity)
     assert h == t
 
 
 def test_transporter_identity_when_already_there(grig):
     h = transporter(
-        [grig.generator("b")], parse_point("(0)"), parse_point("(0)").prefix(3),
-        identity=grig.identity,
+        [grig.generator("b")], parse_point("(0)"), parse_point("(0)").prefix(3), grig.identity
     )
     assert h.is_identity(64) is Tri.YES
 
@@ -214,7 +213,7 @@ def test_transporter_within_reachable_piece(grig):
     # rist([1]) orbits stay below the next letter of the current point;
     # a same-piece target is reachable
     gens = rist_generators(grig, cyl("1"))
-    h = transporter(gens, parse_point("1(0)"), Word.from_string("101"))
+    h = transporter(gens, parse_point("1(0)"), Word.from_string("101"), grig.identity)
     assert h.act_point(parse_point("1(0)")).prefix(3) == Word.from_string("101")
 
 
@@ -223,7 +222,7 @@ def test_transporter_cross_piece_target_exhausts(grig):
     gens = rist_generators(grig, cyl("1"))
     with pytest.raises(SearchExhausted):
         transporter(
-            gens, parse_point("1(0)"), Word.from_string("11"),
+            gens, parse_point("1(0)"), Word.from_string("11"), grig.identity,
             SearchBudget(max_word_len=6, max_states=3000),
         )
 
@@ -231,7 +230,7 @@ def test_transporter_cross_piece_target_exhausts(grig):
 def test_transporter_soundness(grig):
     gens = rist_generators(grig, cyl("0"))
     target = Word.from_string("0010")
-    h = transporter(gens, parse_point("(0)"), target)
+    h = transporter(gens, parse_point("(0)"), target, grig.identity)
     assert h.act_point(parse_point("(0)")).prefix(4) == target
     assert in_rigid_stabiliser(h, cyl("0"), 512) is Tri.YES
 

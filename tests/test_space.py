@@ -8,11 +8,10 @@ from cantorstab import (
     AlphabetMismatch,
     BoundaryPoint,
     Cylinder,
-    CylinderRelation,
     DepthSchedule,
     Word,
+    complement,
     contains_point,
-    cylinder_relation,
     cylinders_at_depth,
     first_disagreement,
     parse_point,
@@ -62,26 +61,6 @@ def test_disagreement_after_shared_prefix():
 def test_disagreement_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         first_disagreement(pt("(0)"), BoundaryPoint((), (1,), Alphabet(3)))
-
-
-# -- cylinder relation -------------------------------------------------
-
-
-def test_relation_contains():
-    assert cylinder_relation(cyl("0"), cyl("01")) is CylinderRelation.CONTAINS
-
-
-def test_relation_disjoint():
-    assert cylinder_relation(cyl("01"), cyl("10")) is CylinderRelation.DISJOINT
-
-
-def test_relation_whole_space():
-    assert cylinder_relation(cyl(""), cyl("110")) is CylinderRelation.CONTAINS
-
-
-def test_relation_equal_and_contained():
-    assert cylinder_relation(cyl("01"), cyl("01")) is CylinderRelation.EQUAL
-    assert cylinder_relation(cyl("011"), cyl("0")) is CylinderRelation.CONTAINED
 
 
 # -- contains_point ----------------------------------------------------
@@ -146,14 +125,33 @@ def test_equality_soundness_via_brute_force(pre1, per1, pre2, per2):
 @pytest.mark.parametrize("size,depth", [(2, 1), (2, 3), (3, 2)])
 def test_depth_partition(size, depth):
     alphabet = Alphabet(size)
-    cs = cylinders_at_depth(alphabet, depth)
-    assert len(cs) == size**depth
-    for i, c1 in enumerate(cs):
-        for c2 in cs[i + 1:]:
-            assert cylinder_relation(c1, c2) is CylinderRelation.DISJOINT
+    prefixes = cylinders_at_depth(alphabet, depth)
+    assert len(prefixes) == size**depth
+    assert prefixes == sorted(prefixes)
+    # cylinders of one depth are disjoint iff their prefixes differ
+    assert len(set(prefixes)) == len(prefixes)
+    assert all(len(p) == depth and all(0 <= a < size for a in p) for p in prefixes)
     point = BoundaryPoint((0, 1) if size == 2 else (2,), (1, 0), alphabet)
-    homes = [c for c in cs if contains_point(c, point)]
+    homes = [p for p in prefixes if contains_point(Cylinder(Word(p, alphabet)), point)]
     assert len(homes) == 1
+
+
+def test_complement_prefixes():
+    assert complement(cyl("011")) == [(1,), (0, 0), (0, 1, 0)]
+    assert complement(Cylinder(Word((2,), Alphabet(3)))) == [(0,), (1,)]
+    assert complement(cyl("")) == []
+
+
+@pytest.mark.parametrize("size,depth", [(2, 3), (3, 2)])
+def test_complement_partitions_outside(size, depth):
+    # every depth-d prefix but u's own extends exactly one sibling prefix
+    alphabet = Alphabet(size)
+    u = Cylinder(Word((size - 1,) * depth, alphabet))
+    siblings = complement(u)
+    assert len(siblings) == (size - 1) * depth
+    for p in cylinders_at_depth(alphabet, depth):
+        homes = [s for s in siblings if p[: len(s)] == s]
+        assert len(homes) == (0 if p == u.prefix.letters else 1)
 
 
 # -- parsing and formatting --------------------------------------------
@@ -169,6 +167,14 @@ def test_parse_point_rejects_garbage():
     for bad in ("", "01", "(01", "a(b)", "(  )"):
         with pytest.raises(ValueError):
             parse_point(bad)
+
+
+@pytest.mark.parametrize("size", [0, 1, 11])
+def test_alphabet_size_2_to_10(size):
+    # every text form writes one digit per letter
+    with pytest.raises(ValueError, match="2 to 10"):
+        Alphabet(size)
+    assert Alphabet(10).size == 10
 
 
 def test_word_rejects_bad_letters():
