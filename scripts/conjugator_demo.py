@@ -50,7 +50,7 @@ def main():
 
     runs = [
         (grigorchuk(), "(0)", "(01)", args.depth),
-        (odometer_full(), "(0)", "(1)", min(args.depth, 6)),
+        (odometer_full(), "(0)", "(1)", args.depth),
     ]
     for family, x_text, y_text, depth in runs:
         cert = build_conjugator(

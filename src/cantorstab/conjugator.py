@@ -333,7 +333,7 @@ def rist_samples(family: GroupFamily, cert: ConjugatorCertificate, count: int) -
     if len(cert.stages) < 2:
         return []
     alphabet = family.alphabet
-    stems = complement(cert.stages[1].u)
+    stems = list(complement(cert.stages[1].u))
     samples: list = []
     while stems:
         for stem in stems:

@@ -88,9 +88,9 @@ class WreathTable:
 
     ``entries`` maps a name to ``(perm, sections)`` where ``perm`` is a tuple
     permutation of the alphabet and ``sections`` is a tuple of generator
-    names or ``None`` (identity), one per letter.  Generators listed in
-    ``involutive`` rewrite ``x x -> 1`` and ``x^-1 -> x``; the declarations
-    are rewriting hints and must be confirmed by the identity oracle.
+    names or ``None`` (identity), one per letter.  ``involutive``, the names
+    whose square is the identity, is derived at construction; those names
+    rewrite ``x x -> 1`` and ``x^-1 -> x``.
 
     Localized names ``"g@v"`` (``v`` a digit word) resolve structurally to
     the automorphism acting as ``g`` on the subtree below ``v`` and
@@ -102,16 +102,17 @@ class WreathTable:
     whenever it holds ``SECTION_CACHE_LIMIT`` section words.
     """
 
-    def __init__(self, alphabet: Alphabet, entries: dict, involutive=()):
+    def __init__(self, alphabet: Alphabet, entries: dict):
         self.alphabet = alphabet
         self.entries = dict(entries)
-        self.involutive = frozenset(involutive)
+        self.involutive = frozenset()
         identity = tuple(range(alphabet.size))
         self._identity_perm = identity
         # each cached state or factor holds one section word per letter
         self._cache_limit = SECTION_CACHE_LIMIT // alphabet.size
         self._factors: dict = {}
         self._states: dict = {}
+        reached = set(self.entries)
         for name, (perm, sections) in self.entries.items():
             if not GENERATOR_NAME_RE.fullmatch(name) or "@" in name:
                 raise ValueError(f"bad generator name {name!r}")
@@ -125,9 +126,17 @@ class WreathTable:
                         self.resolve(s)
                     except KeyError:
                         raise ValueError(f"{name}: unknown section {s!r}") from None
-        for name in self.involutive:
-            if name not in self.entries:
-                raise ValueError(f"involutive name {name!r} not in table")
+                    base, _, path = s.partition("@")
+                    reached.update(f"{base}@{path[i:]}" for i in range(len(path)))
+        # no section outgrows its word, so n*n's closure under free reduction
+        # has < (2|R| + 1)^2 words over the reached names R: never UNKNOWN
+        budget = (2 * len(reached) + 1) ** 2
+        self.involutive = frozenset(
+            n for n in self.entries
+            if TreeAutomorphism(self, ((n, 1), (n, 1))).is_identity(budget) is Tri.YES
+        )
+        self._factors.clear()
+        self._states.clear()
 
     def resolve(self, name: str) -> tuple[tuple[int, ...], tuple]:
         """Permutation and section names of a (possibly localized) generator."""

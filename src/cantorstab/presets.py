@@ -48,7 +48,6 @@ GRIGORCHUK_TABLE = WreathTable(
         "k2": ((0, 1), ("k1", None)),
         "k3": ((0, 1), (None, "k1")),
     },
-    involutive=("a", "b", "c", "d"),
 )
 
 

@@ -151,7 +151,7 @@ def family_table(family) -> WreathTable | None:
 
 FAMILY_COMMON = {"type": str, "name": str, "alphabet": int, "transporter_margin": int, "generators": dict}
 FAMILY_SHAPES = {
-    "wreath": {**FAMILY_COMMON, "involutive": [str], "public": [str]},
+    "wreath": {**FAMILY_COMMON, "public": [str]},
     "prefix": FAMILY_COMMON,
     "table": FAMILY_COMMON,
 }
@@ -163,15 +163,14 @@ ELEMENT_BODY_FIELD = {"prefix": "rules", "table": "rows"}
 def family_from_obj(obj) -> GroupFamily:
     """A family from its JSON definition; optional fields (``name``,
     ``alphabet``, ``transporter_margin``, and for wreath families
-    ``involutive`` and ``public``) take their defaults before the shape
-    is checked."""
+    ``public``) take their defaults before the shape is checked."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in FAMILY_SHAPES:
         raise ValueError(f"unknown family type {kind!r}")
     defaults = {"name": "custom", "alphabet": 2, "transporter_margin": 0}
     if kind == "wreath":
         names = obj.get("generators")
-        defaults.update(involutive=[], public=sorted(names) if isinstance(names, dict) else [])
+        defaults.update(public=sorted(names) if isinstance(names, dict) else [])
     obj = {**defaults, **obj}
     _check_shape(obj, FAMILY_SHAPES[kind], "family")
     alphabet = Alphabet(obj["alphabet"])
@@ -180,7 +179,7 @@ def family_from_obj(obj) -> GroupFamily:
         for name, data in obj["generators"].items():
             _check_shape(data, WREATH_GENERATOR_SHAPE, f"family.generators.{name}")
             entries[name] = (tuple(data["perm"]), tuple(data["sections"]))
-        table = WreathTable(alphabet, entries, obj["involutive"])
+        table = WreathTable(alphabet, entries)
         gens = tuple((n, TreeAutomorphism.generator(table, n)) for n in obj["public"])
     else:
         field = ELEMENT_BODY_FIELD[kind]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -209,12 +210,12 @@ def cylinders_at_depth(alphabet: Alphabet, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
-def complement(c: Cylinder) -> list[tuple[int, ...]]:
+def complement(c: Cylinder) -> Iterator[tuple[int, ...]]:
     """The prefixes, as letter tuples, of the (size-1)*depth siblings of c's
     prefixes, shallowest first, then by letter: the cylinders partitioning
-    the space outside c."""
+    the space outside c.  Lazy, so a caller holds one prefix at a time."""
     path = c.prefix.letters
-    return [path[:j] + (a,) for j in range(len(path)) for a in c.alphabet.letters() if a != path[j]]
+    return (path[:j] + (a,) for j in range(len(path)) for a in c.alphabet.letters() if a != path[j])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from cantorstab import DepthSchedule, build_conjugator, parse_point, verify_certificate
+from cantorstab import (
+    DepthSchedule,
+    TreeAutomorphism,
+    Tri,
+    build_conjugator,
+    parse_generator_word,
+    parse_point,
+    verify_certificate,
+)
 from cantorstab import serialize
 from test_golden import GOLDEN
 
@@ -24,6 +32,13 @@ ODO_WREATH = {
     "type": "wreath", "name": "odo-wreath", "alphabet": 2,
     "generators": {"t": {"perm": [1, 0], "sections": [None, "t"]}},
     "public": ["t"],
+}
+
+# the root swap a next to the odometer t, whose square is not the identity
+SWAP_ODO_WREATH = {
+    "type": "wreath", "name": "swap-odo", "alphabet": 2,
+    "generators": {"a": {"perm": [1, 0], "sections": [None, None]},
+                   "t": {"perm": [1, 0], "sections": [None, "t"]}},
 }
 
 # a well-formed odometer on 11 letters, which no digit text can address
@@ -338,14 +353,36 @@ def test_custom_wreath_family_file(tmp_path):
     # a row letter outside the binary alphabet
     {"type": "table", "generators": {"t": [["0", 1], ["2", 0]]}},
     ODO_WREATH_11,
+    # involutions are derived from the recursion, never declared
+    {**ODO_WREATH, "involutive": ["t"]},
 ], ids=["generators-int", "alphabet-str", "perm-str", "margin-list", "section-path-digit",
-        "table-row-letter", "alphabet-11"])
+        "table-row-letter", "alphabet-11", "involutive-field"])
 def test_malformed_family_file_exit_2(tmp_path, family):
     family_path = tmp_path / "family.json"
     family_path.write_text(json.dumps(family))
     proc = run_cli("orbit", "--family", str(family_path), "--seed", "0", "--depth", "1")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_family_involutions_are_derived():
+    # t is not an involution, so t*t stays a word and acts as adding two
+    family = serialize.family_from_obj(SWAP_ODO_WREATH)
+    table = family.generator("t").table
+    assert table.involutive == {"a"}
+    assert family.generator("t").compose(family.generator("t")).is_identity() is Tri.NO
+    word = TreeAutomorphism(table, parse_generator_word("t*a*t*a*t*a"))
+    assert word.act_point(parse_point("(0)")) == parse_point("011(0)")
+
+
+def test_family_rist_counts_non_involutions(tmp_path):
+    # reading t as an involution collapses t*t to 1 and finds 2 of these 20
+    family_path = tmp_path / "swap-odo.json"
+    family_path.write_text(json.dumps(SWAP_ODO_WREATH))
+    proc = run_cli("rist", "--family", str(family_path), "--cylinder", "0", "--maxlen", "6",
+                   "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["canonical"]["count"] == 20
 
 
 def test_orbit_strict_budget_exit_4():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,8 +220,8 @@ def test_state_matches_reference(word):
 def test_section_cache_is_bounded():
     # each cached state holds one section word per letter; the cache is
     # emptied once it holds SECTION_CACHE_LIMIT section words
-    table = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
-    fresh = WreathTable(BIN, GRIGORCHUK_TABLE.entries, GRIGORCHUK_TABLE.involutive)
+    table = WreathTable(BIN, GRIGORCHUK_TABLE.entries)
+    fresh = WreathTable(BIN, GRIGORCHUK_TABLE.entries)
     peak = 0
     for letters in itertools.product("abcd", repeat=7):
         table.state(table.reduce([(name, 1) for name in letters]))
@@ -233,6 +234,77 @@ def test_section_cache_is_bounded():
     table._states.clear()
     table._factors.clear()
     assert table.state(word) == before == fresh.state(word)
+
+
+# -- derived involutions ---------------------------------------------------
+
+
+def test_grigorchuk_involutions_are_derived():
+    # a, b, c, d square to 1; ca, ac and k1..k3 do not, nor the odometer
+    assert GRIGORCHUK_TABLE.involutive == frozenset("abcd")
+    assert ODOMETER_TABLE.involutive == frozenset()
+    # the squares walked during the derivation are computed again with the
+    # rewriting, so no section keeps an a*a
+    fresh = WreathTable(BIN, GRIGORCHUK_TABLE.entries)
+    assert fresh.state((("b", 1), ("b", 1))) == ((0, 1), ((), ()))
+
+
+def reference_is_identity(table, word):
+    """Definitional identity test, unbudgeted: the section closure under the
+    reference helpers is finite because no section outgrows its word."""
+    letters = table.alphabet.letters()
+    seen, stack = {word}, [word]
+    while stack:
+        w = stack.pop()
+        if any(reference_image(table, w, a) != a for a in letters):
+            return False
+        for a in letters:
+            s = reference_section_word(table, w, a)
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return True
+
+
+@st.composite
+def small_wreath_tables(draw):
+    size = draw(st.integers(2, 3))
+    names = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
+    digits = "".join(map(str, range(size)))
+    section = st.one_of(
+        st.none(),
+        st.sampled_from(names),
+        st.builds("{}@{}".format, st.sampled_from(names), st.text(alphabet=digits, min_size=1, max_size=3)),
+    )
+    entries = {
+        n: (tuple(draw(st.permutations(range(size)))), tuple(draw(section) for _ in range(size)))
+        for n in names
+    }
+    return Alphabet(size), entries
+
+
+@given(small_wreath_tables(), st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_derived_involutions_match_reference(spec, picks):
+    alphabet, entries = spec
+    verdicts = []
+    is_identity = TreeAutomorphism.is_identity
+
+    def spy(self, budget=512):
+        verdicts.append(is_identity(self, budget))
+        return verdicts[-1]
+
+    with mock.patch.object(TreeAutomorphism, "is_identity", spy):
+        table = WreathTable(alphabet, entries)
+    assert len(verdicts) == len(entries) and Tri.UNKNOWN not in verdicts
+    plain = WreathTable(alphabet, entries)
+    plain.involutive = frozenset()  # free reduction only
+    assert table.involutive == {n for n in entries if reference_is_identity(plain, ((n, 1), (n, 1)))}
+    # rewriting with the derived involutions changes no action
+    names = sorted(entries)
+    word = tuple((names[i % len(names)], exp) for i, exp in picks)
+    for letters in itertools.product(alphabet.letters(), repeat=3):
+        assert TreeAutomorphism(table, word).act_letters(letters) == TreeAutomorphism(plain, word).act_letters(letters)
 
 
 # -- compose / invert ----------------------------------------------------

@@ -137,9 +137,11 @@ def test_depth_partition(size, depth):
 
 
 def test_complement_prefixes():
-    assert complement(cyl("011")) == [(1,), (0, 0), (0, 1, 0)]
-    assert complement(Cylinder(Word((2,), Alphabet(3)))) == [(0,), (1,)]
-    assert complement(cyl("")) == []
+    siblings = complement(cyl("011"))
+    assert iter(siblings) is siblings  # lazy: one sibling held at a time
+    assert list(siblings) == [(1,), (0, 0), (0, 1, 0)]
+    assert list(complement(Cylinder(Word((2,), Alphabet(3))))) == [(0,), (1,)]
+    assert list(complement(cyl(""))) == []
 
 
 @pytest.mark.parametrize("size,depth", [(2, 3), (3, 2)])
@@ -147,7 +149,7 @@ def test_complement_partitions_outside(size, depth):
     # every depth-d prefix but u's own extends exactly one sibling prefix
     alphabet = Alphabet(size)
     u = Cylinder(Word((size - 1,) * depth, alphabet))
-    siblings = complement(u)
+    siblings = list(complement(u))
     assert len(siblings) == (size - 1) * depth
     for p in cylinders_at_depth(alphabet, depth):
         homes = [s for s in siblings if p[: len(s)] == s]
