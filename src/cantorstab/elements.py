@@ -90,7 +90,7 @@ class WreathTable:
     permutation of the alphabet and ``sections`` is a tuple of generator
     names or ``None`` (identity), one per letter.  ``involutive``, the names
     whose square is the identity, is derived at construction; those names
-    rewrite ``x x -> 1`` and ``x^-1 -> x``.
+    and their localized copies rewrite ``x x -> 1`` and ``x^-1 -> x``.
 
     Localized names ``"g@v"`` (``v`` a digit word) resolve structurally to
     the automorphism acting as ``g`` on the subtree below ``v`` and
@@ -167,9 +167,7 @@ class WreathTable:
                 perm = tuple(inv)
                 # (g^-1)|_x = (g|_{g^-1 x})^-1
                 names = tuple(names[p] for p in perm)
-            cached = perm, tuple(
-                () if s is None else ((s, 1 if s in self.involutive else exp),) for s in names
-            )
+            cached = perm, tuple(() if s is None else ((s, exp),) for s in names)
             if len(self._factors) >= self._cache_limit:
                 self._factors.clear()
             self._factors[name, exp] = cached
@@ -194,14 +192,15 @@ class WreathTable:
         return cached
 
     def reduce(self, word) -> tuple:
-        """Free reduction plus involution rewriting of a generator word."""
+        """Free reduction plus involution rewriting of a generator word; a
+        localized ``g@v`` is an involution exactly when ``g`` is."""
         out: list = []
+        involutive = self.involutive
         for name, exp in word:
-            if name in self.involutive:
+            involution = name in involutive or ("@" in name and name.partition("@")[0] in involutive)
+            if involution:
                 exp = 1
-            if out and out[-1][0] == name and (
-                name in self.involutive or out[-1][1] == -exp
-            ):
+            if out and out[-1][0] == name and (involution or out[-1][1] == -exp):
                 out.pop()
             else:
                 out.append((name, exp))
@@ -458,18 +457,13 @@ class PrefixBijection:
     def compose(self, other) -> "PrefixBijection":
         self._check_family(other)
         out = []
-
-        def refine(u, v):
+        for u, v in other.rules:
             rule = _lookup(self.rules, v)
-            if rule is not None:
+            if rule is None:  # the rules of self whose keys extend v split [v]
+                out += [(u + p[len(v):], q) for p, q in self.rules if p[: len(v)] == v]
+            else:  # one rule of self takes all of [v]
                 p, q = rule
                 out.append((u, q + v[len(p):]))
-            else:
-                for a in self.alphabet.letters():
-                    refine(u + (a,), v + (a,))
-
-        for u, v in other.rules:
-            refine(u, v)
         return PrefixBijection(out, self.alphabet)
 
     def inverse(self) -> "PrefixBijection":
@@ -549,8 +543,9 @@ class FullGroupTable:
     Rows ``(cylinder letters, power)`` with the cylinders partitioning the
     space; a point with prefix ``c`` maps through the odometer applied
     ``power`` times.  Row cylinders and row images must both partition the space
-    (checked at construction).  A power may be any integer: refinement in
-    ``compose`` stops at the depth of the rows, whatever the powers.
+    (checked at construction).  A power may be any integer: ``compose`` pairs
+    each row of one factor with the rows of the other that meet its image,
+    so no result row is deeper than the deepest row of a factor.
     """
 
     __slots__ = ("alphabet", "rows")
@@ -610,20 +605,15 @@ class FullGroupTable:
     def compose(self, other) -> "FullGroupTable":
         self._check_family(other)
         out = []
-
-        def refine(c, k):
+        for c, k in other.rows:
             image = odometer_word_image(c, k)
             row = _lookup(self.rows, image)
-            if row is not None:
+            if row is None:  # the rows of self whose keys extend the image split [c]
+                carry = (_word_value(c) + k) >> len(c)  # c t maps to image (t + carry)
+                out += [(c + _value_word(_word_value(p[len(c):]) - carry, len(p) - len(c)), k + m)
+                        for p, m in self.rows if p[: len(c)] == image]
+            else:  # one row of self takes all of [image]
                 out.append((c, k + row[1]))
-            else:
-                carry = (_word_value(c) + k) >> len(c)
-                for b in (0, 1):
-                    # letter that maps to image extension b under the carry
-                    refine(c + ((b - carry) % 2,), k)
-
-        for c, k in other.rows:
-            refine(c, k)
         return FullGroupTable(out)
 
     def inverse(self) -> "FullGroupTable":

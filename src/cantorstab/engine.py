@@ -25,7 +25,6 @@ from .elements import (
 
 DEFAULT_ID_BUDGET = 512
 DEFAULT_ENUM_MAXLEN = 8
-INVOLUTION_BUDGET = 64
 
 
 class PointClass(Enum):
@@ -75,14 +74,15 @@ class GroupFamily:
 
 def generator_moves(named_generators) -> tuple:
     """Expansion letters ``((name, exp), element)`` in declared order: each
-    generator, then its inverse unless the identity oracle confirms the
-    generator involutive.  An involution left unconfirmed only keeps a
-    redundant inverse letter."""
+    generator, then its inverse unless both have one normal form.  The test
+    is exact for family generators, whose prefix rules, table rows and
+    derived wreath involutions are unique; a searched or oracle involution
+    may keep a redundant inverse letter, whose images a BFS skips."""
     moves = []
     for name, g in named_generators:
         moves.append(((name, 1), g))
-        if g.compose(g).is_identity(INVOLUTION_BUDGET) is not Tri.YES:
-            moves.append(((name, -1), g.inverse()))
+        if (inverse := g.inverse()) != g:
+            moves.append(((name, -1), inverse))
     return tuple(moves)
 
 
@@ -98,16 +98,25 @@ def fixes_cylinder_pointwise(g: GroupElement, prefix: tuple, budget: int = DEFAU
     """YES iff g maps the cylinder of ``prefix`` (a letter tuple) to itself
     and acts trivially beyond it.
 
-    Where the prefix resolves no rule of g, the check refines to
-    sub-cylinders; every sub-cylinder of one rule shares that rule's verdict.
+    Where a prefix resolves no rule of g, the check refines it on an
+    explicit stack, in letter order, so rules of any depth get an answer;
+    sub-cylinders of one rule share its verdict, and the first NO ends it.
     """
-    try:
-        image = g.act_letters(prefix)
-    except UnresolvedWord:
-        return tri_all(fixes_cylinder_pointwise(g, prefix + (a,), budget) for a in g.alphabet.letters())
-    if image != prefix:
-        return Tri.NO
-    return g.section(prefix).is_identity(budget)
+    result = Tri.YES
+    stack = [prefix]
+    while stack:
+        prefix = stack.pop()
+        try:
+            image = g.act_letters(prefix)
+        except UnresolvedWord:
+            stack.extend(prefix + (a,) for a in reversed(g.alphabet.letters()))
+            continue
+        verdict = Tri.NO if image != prefix else g.section(prefix).is_identity(budget)
+        if verdict is Tri.NO:
+            return verdict
+        if verdict is Tri.UNKNOWN:
+            result = verdict
+    return result
 
 
 def in_rigid_stabiliser(g: GroupElement, u: Cylinder, budget: int = DEFAULT_ID_BUDGET) -> Tri:

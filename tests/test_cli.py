@@ -13,7 +13,7 @@ from cantorstab import (
     parse_point,
     verify_certificate,
 )
-from cantorstab import serialize
+from cantorstab import cli, serialize
 from test_golden import GOLDEN
 
 
@@ -514,3 +514,34 @@ def test_verify_long_period_point_definite(tmp_path):
     checks = json.loads(proc.stdout)["canonical"]["checks"]
     assert len(checks) == 1 + 3 * 6
     assert {c["status"] for c in checks} == {"PASS"}
+
+
+# -- rules far deeper than the interpreter's recursion limit, run in process
+
+
+def test_rist_deep_prefix_rule(tmp_path, capsys):
+    # d swaps [0^499 1] and [0^500] and fixes the rest: it moves points of
+    # [0], so it is not in rist([1]), and finding that refines 500 levels
+    n = 500
+    rules = [["0" * (n - 1) + "1", "0" * n], ["0" * n, "0" * (n - 1) + "1"]]
+    rules += [["0" * i + "1", "0" * i + "1"] for i in range(n - 1)]
+    family_path = tmp_path / "deep.json"
+    family_path.write_text(json.dumps({"type": "prefix", "name": "deep", "generators": {"d": rules}}))
+    assert cli.main(["rist", "--family", str(family_path), "--cylinder", "1", "--maxlen", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "rist([1]): 0 elements\n" and err == ""
+
+
+def test_verify_deep_correction_fails_definitely(tmp_path, capsys):
+    # the last correction of the golden odometer-full certificate becomes the
+    # first return to [0^500]: it moves [111], and the verifier says so
+    n = 500
+    body = json.loads((GOLDEN / "conjugate-odometer-full.json").read_text())
+    body["stages"][4]["h"]["rows"] = [["0" * n, 2**n]] + [["0" * i + "1", 0] for i in range(n)]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps_envelope(serialize.SCHEMA_CERTIFICATE, body))
+    assert cli.main(["verify", "--family", "odometer-full", "--cert", str(cert_path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [(c["stage"], c["condition"]) for c in json.loads(out)["canonical"]["checks"] if c["status"] == "FAIL"]
+    assert failed == [(4, "y-in-V"), (4, "rist")]

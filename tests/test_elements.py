@@ -249,6 +249,14 @@ def test_grigorchuk_involutions_are_derived():
     assert fresh.state((("b", 1), ("b", 1))) == ((0, 1), ((), ()))
 
 
+def test_localized_involutions_rewrite():
+    # a@v squares to 1 as a does; k1@v has order 4 as k1 has
+    rewrite = GRIGORCHUK_TABLE.reduce
+    assert rewrite((("a@01", 1), ("a@01", 1))) == ()
+    assert rewrite((("a@01", -1),)) == (("a@01", 1),)
+    assert rewrite((("k1@0", 1), ("k1@0", 1))) == (("k1@0", 1), ("k1@0", 1))
+
+
 def reference_is_identity(table, word):
     """Definitional identity test, unbudgeted: the section closure under the
     reference helpers is finite because no section outgrows its word."""
@@ -502,14 +510,6 @@ def test_odometer_point_image_state_budget():
 # -- table/prefix composition and sections -------------------------------
 
 
-def test_table_compose_matches_pointwise():
-    t = FullGroupTable.odometer()
-    t3 = t.compose(t).compose(t)
-    for text in ("(0)", "(1)", "10(01)"):
-        p = parse_point(text)
-        assert t3.act_point(p) == t.act_point(t.act_point(t.act_point(p)))
-
-
 def test_table_section_is_carry_power():
     t2 = FullGroupTable.odometer(2)
     section = t2.section((1,))
@@ -553,6 +553,16 @@ from cantorstab.presets import grigorchuk, odometer_full, prefix_v
 PREFIX_FAMILY = prefix_v()
 ODO_FAMILY = odometer_full()
 
+
+def preset_elements(family):
+    """A preset's moves, and its rist-oracle generators below a few
+    cylinders, which resolve only at the cylinder's depth or deeper."""
+    elems = [g for _, g in family.moves()]
+    for u in ("0", "10", "011"):
+        elems += family.rist_oracle(Cylinder.from_string(u))
+    return elems
+
+
 points = st.builds(
     BoundaryPoint,
     st.lists(st.integers(0, 1), max_size=4).map(tuple),
@@ -560,10 +570,11 @@ points = st.builds(
 )
 
 
-@given(st.lists(st.sampled_from("spw"), min_size=1, max_size=4), points)
+# multi-row factors: sibling swaps and first-return tables have keys that
+# extend the image of a row of the other factor
+@given(st.lists(st.sampled_from(preset_elements(PREFIX_FAMILY)), min_size=1, max_size=4), points)
 @settings(max_examples=60, deadline=None)
-def test_prefix_compose_matches_pointwise(names, p):
-    gens = [PREFIX_FAMILY.generator(n) for n in names]
+def test_prefix_compose_matches_pointwise(gens, p):
     composed = reduce(lambda a, b: a.compose(b), gens)
     expected = p
     for g in reversed(gens):
@@ -571,15 +582,61 @@ def test_prefix_compose_matches_pointwise(names, p):
     assert composed.act_point(p) == expected
 
 
-@given(st.lists(st.integers(-4, 4), min_size=1, max_size=3), points)
-@settings(max_examples=60, deadline=None)
-def test_table_compose_matches_pointwise(powers, p):
-    gens = [FullGroupTable.odometer(k) for k in powers]
+table_factors = st.one_of(
+    st.sampled_from(preset_elements(ODO_FAMILY)),
+    st.integers(-4, 4).map(FullGroupTable.odometer),
+)
+
+
+@given(st.lists(table_factors, min_size=1, max_size=3), points)
+@settings(max_examples=100, deadline=None)
+def test_table_compose_matches_pointwise(gens, p):
     composed = reduce(lambda a, b: a.compose(b), gens)
     expected = p
     for g in reversed(gens):
         expected = g.act_point(expected)
     assert composed.act_point(p) == expected
+    # one point seldom meets a wrong row; the words one letter deeper than
+    # the deepest factor meet every row of the composite
+    depth = max(g.resolution_depth() for g in gens) + 1
+    for w in itertools.product((0, 1), repeat=depth):
+        expected = w
+        for g in reversed(gens):
+            expected = g.act_letters(expected)
+        assert composed.act_letters(w) == expected
+
+
+# -- rules far deeper than the interpreter's recursion limit ---------------
+
+DEEP = 1100
+ZEROS = (0,) * DEEP
+
+
+def test_deep_prefix_rule_composes():
+    # d swaps [0^1099 1] and [0^1100] and fixes the other cylinders of that code
+    d = PrefixBijection(
+        [(ZEROS[:-1] + (1,), ZEROS), (ZEROS, ZEROS[:-1] + (1,))]
+        + [(ZEROS[:i] + (1,), ZEROS[:i] + (1,)) for i in range(DEEP - 1)]
+    )
+    s = PrefixBijection([((0,), (1,)), ((1,), (0,))])
+    ds = d.compose(s)
+    assert ds.resolution_depth() == DEEP
+    assert ds.act_point(parse_point("1(0)")) == BoundaryPoint(ZEROS[:-1] + (1,), (0,))
+    assert ds.act_point(parse_point("0(1)")) == parse_point("(1)")
+    for p in ("1(0)", "0(1)", "1" + "0" * 1099 + "1(0)", "(01)"):
+        assert ds.act_point(parse_point(p)) == d.act_point(s.act_point(parse_point(p)))
+
+
+def test_deep_first_return_composes():
+    # T is the first return to [0^1100]: it adds 2^1100 there, 0 elsewhere
+    T = FullGroupTable([(ZEROS, 1 << DEEP)] + [(ZEROS[:i] + (1,), 0) for i in range(DEEP)])
+    t = FullGroupTable.odometer()
+    Tt = T.compose(t)
+    assert Tt.resolution_depth() == DEEP
+    assert Tt.act_point(parse_point("(1)")) == BoundaryPoint(ZEROS + (1,), (0,))
+    assert Tt.act_point(parse_point("(0)")) == parse_point("1(0)")
+    for p in ("(1)", "(0)", "1" + "0" * 1099 + "(1)", "(10)"):
+        assert Tt.act_point(parse_point(p)) == T.act_point(t.act_point(parse_point(p)))
 
 
 @given(st.lists(st.sampled_from("spw"), min_size=1, max_size=4), points)
@@ -636,15 +693,6 @@ def test_identity_oracle_confirms_pair_orders(letters, power, expected):
     # the orders of the generator pairs fall out of the section closure;
     # nothing in the table declares them
     assert grig_word(letters * power).is_identity(4096) is expected
-
-
-def preset_elements(family):
-    """A preset's moves, and its rist-oracle generators below a few
-    cylinders, which resolve only at the cylinder's depth or deeper."""
-    elems = [g for _, g in family.moves()]
-    for u in ("0", "10", "011"):
-        elems += family.rist_oracle(Cylinder.from_string(u))
-    return elems
 
 
 preset_products = st.sampled_from(

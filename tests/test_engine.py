@@ -9,6 +9,7 @@ from cantorstab import (
     GermKind,
     GermVerdict,
     PointClass,
+    TreeAutomorphism,
     Tri,
     Word,
     classify_point,
@@ -22,7 +23,7 @@ from cantorstab import (
 )
 from cantorstab.elements import tri_all
 from cantorstab.engine import DEFAULT_ID_BUDGET, generator_moves, reduced_generator_words
-from cantorstab.presets import PRESETS
+from cantorstab.presets import GRIGORCHUK_TABLE, PRESETS
 
 from conftest import L, grig_gen, grig_word, table
 
@@ -329,13 +330,20 @@ def test_reduced_words_shortlex_and_reduced(grig):
     assert lengths.count(1) == 4 and lengths.count(2) == 12 and lengths.count(3) == 36
 
 
-def test_involutive_detection(grig, odometer):
+def test_involutive_detection(grig, odometer, prefix_family):
     # an involution contributes its letter only, any other generator its
     # inverse too; a nonzero odometer power is never involutive
     assert [letter for letter, _ in grig.moves()] == [(n, 1) for n in "abcd"]
     assert [letter for letter, _ in odometer.moves()] == [("t", 1), ("t", -1)]
+    assert [letter for letter, _ in prefix_family.moves()] == [("s", 1), ("p", 1), ("p", -1), ("w", 1)]
     big = FullGroupTable.odometer(40)
     assert [letter for letter, _ in generator_moves([("u", big)])] == [("u", 1), ("u", -1)]
+    # the first return to [011] adds 8 there: its inverse subtracts 8
+    (first_return,) = odometer.rist_oracle(cyl("011"))
+    assert [letter for letter, _ in generator_moves([("r", first_return)])] == [("r", 1), ("r", -1)]
+    # a localized copy of an involution is one, of k1 (order 4) is not
+    localized = [(n, TreeAutomorphism.generator(GRIGORCHUK_TABLE, n)) for n in ("a@0", "k1@0")]
+    assert [letter for letter, _ in generator_moves(localized)] == [("a@0", 1), ("k1@0", 1), ("k1@0", -1)]
     assert grig.moves() is grig.moves()
 
 
